@@ -349,10 +349,6 @@ def rows(a, ids) -> Tensor:
     return _result(out, [a], [vjp])
 
 
-def embedding_lookup(table, ids) -> Tensor:
-    return rows(table, ids)
-
-
 def take(a, ids) -> Tensor:
     """Gather entries of a 1-D tensor."""
     a = as_tensor(a)

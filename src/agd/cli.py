@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, ConfigError, GraphError, TrainingDiverged,
-            FileNotFoundError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

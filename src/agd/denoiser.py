@@ -82,16 +82,15 @@ class DenoiserNet:
         self.config = config
         self.params = params
 
-    @classmethod
-    def init(cls, config: DenoiserConfig, rng: np.random.Generator) -> "DenoiserNet":
+    @staticmethod
+    def param_specs(config: DenoiserConfig) -> list[tuple[str, tuple[int, ...], int]]:
+        """(name, shape, fan_in) of every parameter, in initialization order."""
         c = config
-        if c.aggregator not in ("gat", "gru-gate"):
-            raise ValueError(f"unknown aggregator: {c.aggregator!r}")
         d, mh = c.hidden, c.mlp_hidden
-        p: dict[str, Parameter] = {}
+        specs: list[tuple[str, tuple[int, ...], int]] = []
 
         def add(name, shape, fan_in):
-            p[name] = Parameter(name, ad.uniform_init(rng, shape, fan_in))
+            specs.append((name, shape, fan_in))
 
         add("node_embed", (c.num_node_types + 1, d), d)        # + MASK token
         add("edge_embed", (c.num_edge_types + 2, d), d)        # + MASK, SELF
@@ -129,7 +128,12 @@ class DenoiserNet:
             add(f"eh{k}_1b", (mh,), 3 * d)
             add(f"eh{k}_2", (mh, c.num_edge_types), mh)
             add(f"eh{k}_2b", (c.num_edge_types,), mh)
-        return cls(c, p)
+        return specs
+
+    @classmethod
+    def init(cls, config: DenoiserConfig, rng: np.random.Generator) -> "DenoiserNet":
+        return cls(config, {name: Parameter(name, ad.uniform_init(rng, shape, fan_in))
+                            for name, shape, fan_in in cls.param_specs(config)})
 
     def _get(self, tape: Tape | None, name: str) -> Tensor:
         if tape is None:

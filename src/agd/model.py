@@ -9,7 +9,8 @@ import numpy as np
 
 from .autodiff import Parameter
 from .denoiser import DenoiserConfig, DenoiserNet
-from .optim import AdamState, load_checkpoint, save_checkpoint
+from .optim import (AdamState, CheckpointError, check_shapes, load_checkpoint,
+                    save_checkpoint)
 from .ordering import OrderingConfig, OrderingNet
 
 
@@ -32,11 +33,8 @@ class ModelBundle:
         )
 
     def save(self, path) -> None:
-        params = {}
-        for k, p in self.ordering.params.items():
-            params[f"ordering.{k}"] = Parameter(f"ordering.{k}", p.data)
-        for k, p in self.denoiser.params.items():
-            params[f"denoiser.{k}"] = Parameter(f"denoiser.{k}", p.data)
+        params = {f"ordering.{k}": p for k, p in self.ordering.params.items()}
+        params.update((f"denoiser.{k}", p) for k, p in self.denoiser.params.items())
 
         def prefixed(state: AdamState, prefix: str) -> AdamState:
             out = AdamState(lr=state.lr, beta1=state.beta1, beta2=state.beta2,
@@ -53,16 +51,27 @@ class ModelBundle:
 
     @classmethod
     def load(cls, path) -> "ModelBundle":
+        """Load a bundle; raises CheckpointError when the file is malformed or
+        its parameters do not fit its stored config."""
         params, optimizers, config = load_checkpoint(path)
-        ordering_config = OrderingConfig(**config["ordering"])
-        denoiser_config = DenoiserConfig(**config["denoiser"])
+        try:
+            ordering_config = OrderingConfig(**config["ordering"])
+            denoiser_config = DenoiserConfig(**config["denoiser"])
+            adam = {label: optimizers[label] for label in ("denoiser", "ordering")}
+            expected = {f"ordering.{name}": shape
+                        for name, shape, _ in OrderingNet.param_specs(ordering_config)}
+            expected.update((f"denoiser.{name}", shape)
+                            for name, shape, _ in DenoiserNet.param_specs(denoiser_config))
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from None
+        check_shapes(params, expected, path)
 
         def split(prefix: str) -> dict[str, Parameter]:
             out = {}
             for name, p in params.items():
                 if name.startswith(prefix + "."):
-                    local = name[len(prefix) + 1:]
-                    out[local] = Parameter(local, p.data)
+                    p.name = name[len(prefix) + 1:]
+                    out[p.name] = p
             return out
 
         def localized(state: AdamState, prefix: str) -> AdamState:
@@ -75,6 +84,6 @@ class ModelBundle:
         return cls(
             ordering=OrderingNet(ordering_config, split("ordering")),
             denoiser=DenoiserNet(denoiser_config, split("denoiser")),
-            adam_denoiser=localized(optimizers["denoiser"], "denoiser"),
-            adam_ordering=localized(optimizers["ordering"], "ordering"),
+            adam_denoiser=localized(adam["denoiser"], "denoiser"),
+            adam_ordering=localized(adam["ordering"], "ordering"),
         )

@@ -17,8 +17,6 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor
 from .graphs import DiffusionTrajectory, GraphError, LabeledGraph, forward_trajectory
 
-UNABSORBED = None
-
 
 def positional_encoding(position: int, dim: int) -> np.ndarray:
     """Sinusoidal encoding of an absorption step index (1-based)."""
@@ -59,15 +57,16 @@ class OrderingNet:
         self.config = config
         self.params = params
 
-    @classmethod
-    def init(cls, config: OrderingConfig, rng: np.random.Generator) -> "OrderingNet":
+    @staticmethod
+    def param_specs(config: OrderingConfig) -> list[tuple[str, tuple[int, ...], int]]:
+        """(name, shape, fan_in) of every parameter, in initialization order."""
         c = config
         fdim = c.embed_dim + c.pe_dim
         d = c.model_dim
-        p: dict[str, Parameter] = {}
+        specs: list[tuple[str, tuple[int, ...], int]] = []
 
         def add(name, shape, fan_in):
-            p[name] = Parameter(name, ad.uniform_init(rng, shape, fan_in))
+            specs.append((name, shape, fan_in))
 
         add("embed", (c.num_node_types, c.embed_dim), c.embed_dim)
         add("pe_unabsorbed", (c.pe_dim,), c.pe_dim)
@@ -80,7 +79,12 @@ class OrderingNet:
                 add(f"l{l}_h{h}_adst", (c.hidden,), c.hidden)
         # no output bias: a uniform score offset cancels in the softmax
         add("w_out", (d,), d)
-        return cls(c, p)
+        return specs
+
+    @classmethod
+    def init(cls, config: OrderingConfig, rng: np.random.Generator) -> "OrderingNet":
+        return cls(config, {name: Parameter(name, ad.uniform_init(rng, shape, fan_in))
+                            for name, shape, fan_in in cls.param_specs(config)})
 
     # -- forward ------------------------------------------------------------
 

@@ -199,7 +199,7 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
     def save_ckpt():
         if checkpoint_dir is None:
             return
-        path = f"{checkpoint_dir}/checkpoint_{theta_steps:06d}.json"
+        path = f"{checkpoint_dir}/checkpoint_{theta_steps:06d}.ckpt"
         model.save(path)
         if path not in checkpoints:
             checkpoints.append(path)

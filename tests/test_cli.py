@@ -1,13 +1,16 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from agd.autodiff import Parameter
 from agd.cli import main
 from agd.datasets import load_corpus, save_corpus
 from agd.denoiser import DenoiserConfig
 from agd.model import ModelBundle
+from agd.optim import load_checkpoint, save_checkpoint
 from agd.ordering import OrderingConfig
 
 
@@ -91,6 +94,64 @@ class TestGenerate:
                     "--n", 3, "--size-from", "whatever", "--out", tmp_path / "x"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _drop_param(params, optimizers):
+    del params["denoiser.nh1"]
+
+
+def _add_param(params, optimizers):
+    params["denoiser.extra"] = Parameter("extra", np.zeros(2))
+
+
+def _reshape_param(params, optimizers):
+    params["denoiser.nh1"] = Parameter("nh1", np.zeros((3, 3)))
+
+
+def _moment_of_unknown_param(params, optimizers):
+    optimizers["denoiser"].m["denoiser.ghost"] = np.zeros(2)
+    optimizers["denoiser"].v["denoiser.ghost"] = np.zeros(2)
+
+
+def _rewrite(edit):
+    def apply(path):
+        params, optimizers, config = load_checkpoint(path)
+        edit(params, optimizers)
+        save_checkpoint(path, params, optimizers, config)
+    return apply
+
+
+def _edit_bytes(edit):
+    def apply(path):
+        path.write_bytes(edit(path.read_bytes()))
+    return apply
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("corrupt", [
+        _rewrite(_drop_param), _rewrite(_add_param), _rewrite(_reshape_param),
+        _rewrite(_moment_of_unknown_param),
+        _edit_bytes(lambda b: b[:-8]),
+        _edit_bytes(lambda b: b + bytes(8)),
+        _edit_bytes(lambda b: b.replace(b'"format_version": 2', b'"format_version": 3', 1)),
+        _edit_bytes(lambda b: b[:40]),
+    ], ids=["missing-param", "extra-param", "wrong-shape", "unknown-moment",
+            "truncated", "padded", "unknown-version", "truncated-header"])
+    def test_one_error_line(self, tmp_path, tiny_checkpoint, capsys, corrupt):
+        path = Path(tiny_checkpoint)
+        corrupt(path)
+        code = run(["generate", "--checkpoint", path, "--count", 1, "--n", 3,
+                    "--out", tmp_path / "g.jsonl"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+    def test_directory_is_an_error(self, tmp_path, capsys):
+        code = run(["generate", "--checkpoint", tmp_path, "--count", 1, "--n", 3,
+                    "--out", tmp_path / "g.jsonl"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 class TestEvaluate:

@@ -1,10 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from agd.autodiff import Parameter, ShapeError
-from agd.optim import (AdamState, adam_step, load_checkpoint, save_checkpoint)
+from agd.optim import (AdamState, CheckpointError, adam_step, load_checkpoint,
+                       save_checkpoint)
 
 
 def params_of(values):
@@ -82,3 +84,72 @@ class TestCheckpointFile:
         save_checkpoint(path, params)
         loaded, _, _ = load_checkpoint(path)
         assert np.array_equal(loaded["w"].data, data)
+
+    def test_file_is_header_line_plus_raw_floats(self, tmp_path):
+        params = params_of({"a": np.arange(6.0).reshape(2, 3), "b": np.array(0.5)})
+        state = AdamState(lr=0.01)
+        adam_step(params, {"a": np.ones((2, 3)), "b": np.array(1.0)}, state)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params, {"opt": state})
+        header = path.read_bytes().split(b"\n", 1)[0] + b"\n"
+        floats = 3 * (6 + 1)     # parameters, then first and second moments
+        assert path.stat().st_size == len(header) + 8 * floats
+        assert json.loads(header)["format_version"] == 2
+
+    def test_loaded_arrays_are_writable_and_own_memory(self, tmp_path):
+        params = params_of({"w": np.ones((2, 2))})
+        state = AdamState(lr=0.1)
+        adam_step(params, {"w": np.ones((2, 2))}, state)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params, {"opt": state})
+        loaded, optimizers, _ = load_checkpoint(path)
+        for a in (loaded["w"].data, optimizers["opt"].m["w"], optimizers["opt"].v["w"]):
+            assert a.flags.writeable and a.flags.owndata
+            assert a.dtype == np.float64
+
+    def test_version_1_json_loads_bit_exactly(self, tmp_path):
+        rng = np.random.default_rng(1)
+        w, m, v = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.random((2, 3))
+        doc = {"format_version": 1, "config": {"k": 2},
+               "params": {"w": {"shape": [2, 3], "data": w.reshape(-1).tolist()}},
+               "optimizers": {"opt": {"lr": 0.5, "beta1": 0.8, "beta2": 0.99,
+                                      "eps": 1e-7, "step": 3,
+                                      "m": {"w": m.reshape(-1).tolist()},
+                                      "v": {"w": v.reshape(-1).tolist()}}}}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        loaded, optimizers, config = load_checkpoint(path)
+        assert config == {"k": 2}
+        assert np.array_equal(loaded["w"].data, w)
+        st = optimizers["opt"]
+        assert (st.lr, st.beta1, st.beta2, st.eps, st.step) == (0.5, 0.8, 0.99, 1e-7, 3)
+        assert np.array_equal(st.m["w"], m) and np.array_equal(st.v["w"], v)
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params_of({"w": np.ones(3)}))
+        before = path.read_bytes()
+        params = params_of({"a": np.zeros(2), "b": np.zeros(1)})
+        params["b"].data = np.array(["not a float"])   # fails after "a" is written
+        with pytest.raises(ValueError):
+            save_checkpoint(path, params)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["c.ckpt"]
+
+    @pytest.mark.parametrize("edit", ["truncate", "pad"])
+    def test_payload_length_checked(self, tmp_path, edit):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params_of({"w": np.ones(4)}))
+        data = path.read_bytes()
+        path.write_bytes(data[:-3] if edit == "truncate" else data + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="truncated or padded"):
+            load_checkpoint(path)
+
+    def test_moment_of_unknown_parameter_rejected(self, tmp_path):
+        state = AdamState(lr=0.1)
+        state.m = {"ghost": np.zeros(2)}
+        state.v = {"ghost": np.zeros(2)}
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params_of({"w": np.ones(2)}), {"opt": state})
+        with pytest.raises(CheckpointError, match="ghost"):
+            load_checkpoint(path)

@@ -285,3 +285,25 @@ class TestFit:
         for line in lines:
             rec = json.loads(line)
             assert {"step", "loss", "reward", "timestamp"} <= set(rec)
+
+
+class TestCheckpointRoundTrip:
+    def test_loaded_bundle_trains_like_the_saved_one(self, tmp_path):
+        from agd.optim import adam_step
+        g = triangle()
+        cfg = TrainConfig(epochs=1, batch_size=2, trajectories=1, timesteps=2, seed=3)
+        original, _ = fit([g] * 2, [g], tiny_model(seed=41), cfg)
+        path = tmp_path / "model.ckpt"
+        original.save(path)
+        loaded = ModelBundle.load(path)
+        for model in (original, loaded):
+            params = model.denoiser.params
+            adam_step(params, {k: np.full(p.shape, 0.1) for k, p in params.items()},
+                      model.adam_denoiser)
+        _, report_a = fit([g] * 2, [g], original, cfg)
+        _, report_b = fit([g] * 2, [g], loaded, cfg)
+        assert report_a.step_losses == report_b.step_losses
+        for net in ("ordering", "denoiser"):
+            a, b = getattr(original, net).params, getattr(loaded, net).params
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k].data, b[k].data) for k in a)
