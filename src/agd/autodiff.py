@@ -51,11 +51,12 @@ def _check_finite(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _stable_sum(data: np.ndarray, axis=None) -> np.ndarray:
+def _stable_sum(data: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
     # Canonical (sorted) summation order: permutation-invariant forward values.
+    # numpy's reduction order follows the memory layout, so fix that too.
     if axis is None:
         return np.sort(data, axis=None).sum()
-    return np.sort(data, axis=axis).sum(axis=axis)
+    return np.sort(np.ascontiguousarray(data), axis=axis).sum(axis=axis, keepdims=keepdims)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -463,14 +464,71 @@ def softmax(a, axis: int = -1) -> Tensor:
         raise ShapeError("softmax of an empty tensor")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    denom = np.sort(e, axis=axis).sum(axis=axis, keepdims=True)
-    out = e / denom
+    out = e / _stable_sum(e, axis=axis, keepdims=True)
 
     def vjp(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
         return out * (g - inner)
 
     return _result(out, [a], [vjp])
+
+
+def masked_softmax(a, mask, axis: int = -1) -> Tensor:
+    """Softmax along `axis` over the entries where the boolean `mask` (which
+    broadcasts against `a`) is true; masked entries get probability exactly 0
+    and gradient exactly 0. Every slice along `axis` needs an unmasked entry.
+    """
+    a = as_tensor(a)
+    if a.data.size == 0:
+        raise ShapeError("masked softmax of an empty tensor")
+    try:
+        keep = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
+    except ValueError:
+        raise ShapeError(f"mask {np.shape(mask)} does not broadcast to "
+                         f"{a.data.shape}") from None
+    if not keep.any(axis=axis).all():
+        raise ShapeError("masked softmax over a fully masked slice")
+    # The smallest entry is a finite floor for the masked max: no -inf anywhere.
+    top = np.max(a.data, axis=axis, keepdims=True, where=keep, initial=a.data.min())
+    e = np.where(keep, np.exp(np.where(keep, a.data - top, 0.0)), 0.0)
+    out = e / _stable_sum(e, axis=axis, keepdims=True)
+
+    def vjp(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return out * (g - inner)
+
+    return _result(out, [a], [vjp])
+
+
+def einsum(spec: str, a, b) -> Tensor:
+    """Two-operand Einstein summation with an explicit output, e.g.
+    "nhk,hk->nh". Each index of an operand must appear in the other operand
+    or in the output, and at most once per term."""
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        inputs, out_idx = spec.replace(" ", "").split("->")
+        ia, ib = inputs.split(",")
+    except ValueError:
+        raise ShapeError(f"einsum spec {spec!r} is not 'ab,bc->ac' form") from None
+    for term in (ia, ib, out_idx):
+        if not all(c.isalpha() for c in term) or len(set(term)) != len(term):
+            raise ShapeError(f"einsum term {term!r} must be distinct letters")
+    if not set(ia) <= set(ib) | set(out_idx) or not set(ib) <= set(ia) | set(out_idx):
+        raise ShapeError(f"einsum {spec!r} sums an index over one operand alone")
+    if len(ia) != a.data.ndim or len(ib) != b.data.ndim:
+        raise ShapeError(f"einsum {spec!r} does not match shapes "
+                         f"{a.data.shape} and {b.data.shape}")
+    sizes = dict(zip(ia, a.data.shape))
+    if any(sizes.setdefault(c, n) != n for c, n in zip(ib, b.data.shape)):
+        raise ShapeError(f"einsum {spec!r}: shapes {a.data.shape} and "
+                         f"{b.data.shape} disagree on an index")
+    if not set(out_idx) <= set(sizes):
+        raise ShapeError(f"einsum {spec!r} outputs an index no operand has")
+    out = np.einsum(f"{ia},{ib}->{out_idx}", a.data, b.data)
+    return _result(out, [a, b], [
+        lambda g: np.einsum(f"{out_idx},{ib}->{ia}", g, b.data),
+        lambda g: np.einsum(f"{out_idx},{ia}->{ib}", g, a.data),
+    ])
 
 
 def logsumexp(a, axis=None) -> Tensor:

@@ -62,6 +62,11 @@ _SCHEMA = {
     },
 }
 
+# OrderingConfig field -> its key in [model]
+_ORDERING_KEYS = {"num_node_types": "node_types", "layers": "ordering_layers",
+                  "heads": "ordering_heads", "hidden": "ordering_hidden",
+                  "embed_dim": "ordering_embed", "pe_dim": "ordering_pe"}
+
 
 @dataclass
 class RunConfig:
@@ -101,17 +106,18 @@ class RunConfig:
         for key, (kind, _) in _SCHEMA["paths"].items():
             if kind == "in_path" and paths[key] and not os.path.exists(paths[key]):
                 raise ConfigError(f"path for '{key}' does not exist: {paths[key]}")
-        return cls(seed=values["run"]["seed"], model=values["model"],
-                   train=values["train"], paths=paths)
+        cfg = cls(seed=values["run"]["seed"], model=values["model"],
+                  train=values["train"], paths=paths)
+        cfg.ordering_config()   # reject bad ordering widths before any work
+        return cfg
 
     def ordering_config(self) -> OrderingConfig:
-        m = self.model
-        return OrderingConfig(num_node_types=m["node_types"],
-                              layers=m["ordering_layers"],
-                              heads=m["ordering_heads"],
-                              hidden=m["ordering_hidden"],
-                              embed_dim=m["ordering_embed"],
-                              pe_dim=m["ordering_pe"])
+        try:
+            return OrderingConfig(**{field: self.model[key]
+                                     for field, key in _ORDERING_KEYS.items()})
+        except ValueError as exc:
+            key = _ORDERING_KEYS[str(exc).split()[0]]
+            raise ConfigError(f"bad value for '{key}' in [model]: {exc}") from None
 
     def denoiser_config(self) -> DenoiserConfig:
         m = self.model

@@ -58,10 +58,8 @@ class _OrderingCache:
     def step(self, prefix: tuple):
         cached = self.steps.get(prefix)
         if cached is None:
-            remaining = [v for v in range(self.graph.n) if v not in prefix]
-            scores = self.model.ordering.node_scores(self.graph, list(prefix))
-            logp = self.model.ordering._step_log_probs(scores, remaining).data
-            cached = (remaining, np.exp(logp), logp)
+            remaining, logp = self.model.ordering.step_log_probs(self.graph, prefix)
+            cached = (remaining, np.exp(logp.data), logp.data)
             self.steps[prefix] = cached
         return cached
 

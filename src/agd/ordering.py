@@ -42,6 +42,16 @@ class OrderingConfig:
     pe_dim: int = 16
     leaky_slope: float = 0.2
 
+    def __post_init__(self):
+        # Each message starts with the field name; RunConfig maps it to its key.
+        for name in ("num_node_types", "heads", "hidden", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.layers < 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
+        if self.pe_dim < 2 or self.pe_dim % 2:
+            raise ValueError(f"pe_dim must be even and >= 2, got {self.pe_dim}")
+
     @property
     def model_dim(self) -> int:
         return self.heads * self.hidden
@@ -94,7 +104,13 @@ class OrderingNet:
         return tape.watch(self.params[name])
 
     def node_scores(self, graph: LabeledGraph, prefix, tape: Tape | None = None) -> Tensor:
-        """Per-node scalar scores given the absorbed prefix (in order)."""
+        """Per-node scalar scores given the absorbed prefix (in order).
+
+        Each layer attends over all heads and nodes at once: logits
+        s_i + r_j of shape (n, n, heads), softmax over the neighbours j of
+        i (self included), and a sorted sum over j of alpha * Wh, so the
+        scores are equivariant to node relabeling bit for bit.
+        """
         c = self.config
         n = graph.n
         position = {v: i + 1 for i, v in enumerate(prefix)}
@@ -108,30 +124,37 @@ class OrderingNet:
         x = ad.concat([emb, ad.stack(pe_rows)], axis=1)
         h = ad.add(ad.matmul(x, self._get(tape, "w_in")), self._get(tape, "b_in"))
 
-        nbrs = [sorted(set(graph.neighbors(i)) | {i}) for i in range(n)]
+        neighbours = np.eye(n, dtype=bool)
+        for i, j in graph.edges:
+            neighbours[i, j] = neighbours[j, i] = True
+        neighbours = neighbours[:, :, None]          # (i, j, head)
+        heads = range(c.heads)
         for l in range(c.layers):
-            head_parts = []   # head_parts[h][i]
-            for hd in range(c.heads):
-                wh = ad.matmul(h, self._get(tape, f"l{l}_h{hd}_w"))
-                s = ad.matmul(wh, self._get(tape, f"l{l}_h{hd}_asrc"))
-                r = ad.matmul(wh, self._get(tape, f"l{l}_h{hd}_adst"))
-                outs = []
-                for i in range(n):
-                    nb = nbrs[i]
-                    logits = ad.leaky_relu(ad.add(ad.pick(s, i), ad.take(r, nb)),
-                                           slope=c.leaky_slope)
-                    alpha = ad.softmax(logits)
-                    msgs = ad.rows(wh, nb)
-                    outs.append(ad.tsum(ad.mul(ad.reshape(alpha, (len(nb), 1)), msgs), axis=0))
-                head_parts.append(outs)
-            merged = [ad.concat([head_parts[hd][i] for hd in range(c.heads)])
-                      for i in range(n)]
-            h = ad.add(ad.relu(ad.stack(merged)), h)   # residual connection
+            w = ad.concat([self._get(tape, f"l{l}_h{hd}_w") for hd in heads], axis=1)
+            a_src = ad.stack([self._get(tape, f"l{l}_h{hd}_asrc") for hd in heads])
+            a_dst = ad.stack([self._get(tape, f"l{l}_h{hd}_adst") for hd in heads])
+            wh = ad.reshape(ad.matmul(h, w), (n, c.heads, c.hidden))
+            s = ad.reshape(ad.einsum("nhk,hk->nh", wh, a_src), (n, 1, c.heads))
+            r = ad.reshape(ad.einsum("nhk,hk->nh", wh, a_dst), (1, n, c.heads))
+            logits = ad.leaky_relu(ad.add(s, r), slope=c.leaky_slope)
+            alpha = ad.masked_softmax(logits, neighbours, axis=1)
+            msgs = ad.mul(ad.reshape(alpha, (n, n, c.heads, 1)), wh)   # (i, j, head, k)
+            merged = ad.reshape(ad.tsum(msgs, axis=1), (n, c.model_dim))
+            h = ad.add(ad.relu(merged), h)   # residual connection
         return ad.matmul(h, self._get(tape, "w_out"))
 
     def _step_log_probs(self, scores: Tensor, unabsorbed: list[int]) -> Tensor:
         sel = ad.take(scores, unabsorbed)
         return ad.sub(sel, ad.logsumexp(sel))
+
+    def step_log_probs(self, graph: LabeledGraph, prefix,
+                       tape: Tape | None = None) -> tuple[list[int], Tensor]:
+        """The unabsorbed nodes (ascending) after `prefix`, and the log
+        probability of each being absorbed next."""
+        absorbed = set(prefix)
+        unabsorbed = [i for i in range(graph.n) if i not in absorbed]
+        scores = self.node_scores(graph, prefix, tape)
+        return unabsorbed, self._step_log_probs(scores, unabsorbed)
 
     # -- public operations ----------------------------------------------------
 
@@ -140,13 +163,11 @@ class OrderingNet:
         prefix = list(prefix)
         if len(set(prefix)) != len(prefix) or any(not 0 <= v < graph.n for v in prefix):
             raise GraphError("prefix must contain distinct in-range node ids")
-        unabsorbed = [i for i in range(graph.n) if i not in set(prefix)]
-        if not unabsorbed:
+        if len(prefix) == graph.n:
             raise GraphError("all nodes are already absorbed")
-        scores = self.node_scores(graph, prefix)
-        logp = self._step_log_probs(scores, unabsorbed).data
+        unabsorbed, logp = self.step_log_probs(graph, prefix)
         out = np.zeros(graph.n)
-        out[unabsorbed] = np.exp(logp)
+        out[unabsorbed] = np.exp(logp.data)
         return out
 
     def sample_ordering(self, graph: LabeledGraph,
@@ -155,16 +176,13 @@ class OrderingNet:
         ordering: list[int] = []
         step_log_probs: list[float] = []
         step_weights: list[dict[int, float]] = []
-        remaining = list(range(graph.n))
         for _ in range(graph.n):
-            scores = self.node_scores(graph, ordering)
-            logp = self._step_log_probs(scores, remaining).data
-            probs = np.exp(logp)
+            remaining, logp = self.step_log_probs(graph, ordering)
+            probs = np.exp(logp.data)
             step_weights.append({v: float(p) for v, p in zip(remaining, probs)})
             idx = int(rng.choice(len(remaining), p=probs / probs.sum()))
             ordering.append(remaining[idx])
-            step_log_probs.append(float(logp[idx]))
-            remaining.pop(idx)
+            step_log_probs.append(float(logp.data[idx]))
         return forward_trajectory(graph, ordering, tuple(step_log_probs),
                                   tuple(step_weights))
 
@@ -175,10 +193,7 @@ class OrderingNet:
         if sorted(ordering) != list(range(graph.n)):
             raise GraphError("ordering is not a permutation of the node ids")
         total = Tensor(0.0)
-        remaining = list(range(graph.n))
         for t, v in enumerate(ordering):
-            scores = self.node_scores(graph, ordering[:t], tape)
-            logp = self._step_log_probs(scores, remaining)
+            remaining, logp = self.step_log_probs(graph, ordering[:t], tape)
             total = ad.add(total, ad.pick(logp, remaining.index(v)))
-            remaining.remove(v)
         return total

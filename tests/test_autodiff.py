@@ -178,6 +178,133 @@ def test_sorted_reduction_is_permutation_exact():
     assert np.array_equal(s2, s1[perm])
 
 
+def _getter(tape):
+    if tape is None:
+        return lambda p: Tensor(p.data)
+    return tape.watch
+
+
+def test_einsum_against_numpy():
+    rng = np.random.default_rng(30)
+    a, b = rng.normal(size=(5, 3, 4)), rng.normal(size=(3, 4))
+    out = ad.einsum("nhk,hk->nh", Tensor(a), Tensor(b)).data
+    assert np.allclose(out, (a * b).sum(axis=2), atol=1e-12)
+
+
+@pytest.mark.parametrize("spec, shape_a, shape_b", [
+    ("ij,jk->ik", (3, 4), (4, 2)),
+    ("nhk,hk->nh", (4, 3, 2), (3, 2)),
+    ("ij,kj->jik", (3, 2), (4, 2)),
+])
+def test_grad_check_einsum(spec, shape_a, shape_b):
+    rng = np.random.default_rng(31)
+    params = {"a": Parameter("a", rng.normal(size=shape_a)),
+              "b": Parameter("b", rng.normal(size=shape_b))}
+    out_shape = np.einsum(spec, params["a"].data, params["b"].data).shape
+    weights = rng.normal(size=out_shape)
+
+    def fn(tape):
+        get = _getter(tape)
+        out = ad.einsum(spec, get(params["a"]), get(params["b"]))
+        return ad.tsum(ad.mul(out, weights))
+
+    assert grad_check(fn, params) < 1e-6
+
+
+@pytest.mark.parametrize("spec, shape_a, shape_b", [
+    ("ij,jk", (2, 2), (2, 2)),            # no explicit output
+    ("ij,jk->ik", (2, 3), (2, 2)),        # j disagrees
+    ("ij,jk->ik", (2, 2), (2, 2, 2)),     # rank does not match the term
+    ("ij,k->ik", (2, 2), (2,)),           # j is summed over a alone
+    ("ii,ij->j", (2, 2), (2, 2)),         # repeated index in one term
+    ("ij,jk->iz", (2, 2), (2, 2)),        # z is in no operand
+])
+def test_einsum_rejects_bad_specs(spec, shape_a, shape_b):
+    with pytest.raises(ShapeError):
+        ad.einsum(spec, Tensor(np.ones(shape_a)), Tensor(np.ones(shape_b)))
+
+
+def _softmax_mask(rng, shape):
+    mask = rng.random(shape) < 0.5
+    mask[:, 0] = True      # no fully masked row
+    return mask
+
+
+@pytest.mark.parametrize("axis", [1, 0])
+def test_grad_check_masked_softmax(axis):
+    rng = np.random.default_rng(32)
+    params = {"x": Parameter("x", rng.normal(size=(4, 5)))}
+    mask = _softmax_mask(rng, (4, 5))
+    mask[0, :] = True      # no fully masked column either
+    weights = rng.normal(size=(4, 5))
+
+    def fn(tape):
+        p = ad.masked_softmax(_getter(tape)(params["x"]), mask, axis=axis)
+        return ad.tsum(ad.mul(p, weights))
+
+    assert grad_check(fn, params) < 1e-6
+
+
+def test_masked_softmax_matches_softmax_of_kept_entries():
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=(3, 9))
+    mask = _softmax_mask(rng, (3, 9))
+    out = ad.masked_softmax(Tensor(x), mask).data
+    for i in range(3):
+        kept = ad.softmax(Tensor(x[i, mask[i]])).data
+        assert np.allclose(out[i, mask[i]], kept, atol=1e-15)
+
+
+def test_masked_entries_get_zero_probability_and_gradient():
+    rng = np.random.default_rng(34)
+    x = Parameter("x", rng.normal(size=(3, 6)) * 50.0)
+    mask = _softmax_mask(rng, (3, 6))
+    tape = Tape()
+    p = ad.masked_softmax(tape.watch(x), mask)
+    assert np.all(p.data[~mask] == 0.0)
+    assert np.allclose(p.data.sum(axis=1), 1.0, atol=1e-12)
+    loss = ad.tsum(ad.mul(p, rng.normal(size=(3, 6))))
+    grad = tape.gradients(loss)["x"]
+    assert np.all(grad[~mask] == 0.0)
+    assert np.any(grad[mask] != 0.0)
+
+
+def test_masked_softmax_mask_broadcasts():
+    rng = np.random.default_rng(35)
+    x = rng.normal(size=(4, 4, 3))
+    mask = _softmax_mask(rng, (4, 4))
+    out = ad.masked_softmax(Tensor(x), mask[:, :, None], axis=1).data
+    for h in range(3):
+        expect = ad.masked_softmax(Tensor(x[:, :, h]), mask, axis=1).data
+        assert np.array_equal(out[:, :, h], expect)
+
+
+def test_fully_masked_row_raises():
+    mask = np.array([[True, False], [False, False]])
+    with pytest.raises(ShapeError):
+        ad.masked_softmax(Tensor(np.zeros((2, 2))), mask)
+    with pytest.raises(ShapeError):
+        ad.masked_softmax(Tensor(np.zeros((2, 2))), np.ones(3, dtype=bool))
+
+
+def test_masked_softmax_is_permutation_exact():
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(4, 17))
+    mask = _softmax_mask(rng, (4, 17))
+    perm = rng.permutation(17)
+    base = ad.masked_softmax(Tensor(x), mask).data
+    permuted = ad.masked_softmax(Tensor(x[:, perm]), mask[:, perm]).data
+    assert np.array_equal(permuted, base[:, perm])
+
+
+def test_sorted_reductions_ignore_memory_layout():
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(5, 17))
+    xf = np.asfortranarray(x)
+    assert np.array_equal(ad.tsum(Tensor(xf), axis=1).data, ad.tsum(Tensor(x), axis=1).data)
+    assert np.array_equal(ad.softmax(Tensor(xf)).data, ad.softmax(Tensor(x)).data)
+
+
 def _gru_reference(h, m, p):
     def sig(x):
         return 1.0 / (1.0 + np.exp(-x))

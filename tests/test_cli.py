@@ -301,3 +301,26 @@ report = {tmp_path}/report.json
                           "edge_types = 2\nbogus_key = 3\n")
         assert run(["train", "--config", config]) == 1
         assert "bogus_key" in capsys.readouterr().err
+
+
+class TestBadOrderingConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("ordering_pe", 3), ("ordering_pe", 0), ("ordering_heads", 0),
+        ("ordering_hidden", 0), ("ordering_embed", 0), ("ordering_layers", -1),
+        ("node_types", 0),
+    ])
+    def test_one_error_line_naming_the_key(self, tmp_path, capsys, key, value):
+        corpus = tmp_path / "corpus.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 5, "--seed", 3,
+             "--out", corpus])
+        model = {"node_types": 1, "edge_types": 2, key: value}
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nseed = 1\n\n[model]\n"
+                          + "".join(f"{k} = {v}\n" for k, v in model.items())
+                          + f"\n[paths]\ncorpus = {corpus}\n"
+                          + f"checkpoint_dir = {tmp_path / 'ckpts'}\n")
+        assert run(["train", "--config", config]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert f"'{key}'" in err[0]
+        assert not (tmp_path / "ckpts").exists()
