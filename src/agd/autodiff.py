@@ -46,7 +46,7 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 def _check_finite(data: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError("operation produced a non-finite value")
     return data
 
@@ -307,7 +307,7 @@ def concat(parts, axis: int = 0) -> Tensor:
 
 
 def stack(parts) -> Tensor:
-    """Stack 1-D tensors into a (len, dim) matrix."""
+    """Stack equal-shape tensors along a new leading axis."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("stack of zero tensors")
@@ -361,23 +361,6 @@ def take(a, ids) -> Tensor:
     def vjp(g):
         acc = np.zeros_like(a.data)
         np.add.at(acc, ids, g)
-        return acc
-
-    return _result(out, [a], [vjp])
-
-
-def gather2d(a, row_ids, col_ids) -> Tensor:
-    """Entries a[row_ids[k], col_ids[k]] of a 2-D tensor, as a 1-D tensor."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError("gather2d expects a 2-D tensor")
-    row_ids = np.asarray(row_ids, dtype=int)
-    col_ids = np.asarray(col_ids, dtype=int)
-    out = a.data[row_ids, col_ids]
-
-    def vjp(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, (row_ids, col_ids), g)
         return acc
 
     return _result(out, [a], [vjp])

@@ -143,76 +143,64 @@ class DenoiserNet:
     # -- message passing ------------------------------------------------------
 
     def message_pass(self, view: DenoisingView, tape: Tape | None = None):
-        """L rounds over the view; returns (per-node embeddings, mean pooling)."""
+        """L rounds over the view; returns (per-node embeddings, mean pooling).
+
+        Each round is one dense masked op over the view's (m, m) pairs: a
+        pair (a, b) exchanges a message only if its edge state is not ABSENT,
+        and the result sums over b in sorted order, so the embeddings are
+        equivariant to node relabeling bit for bit.
+        """
         c = self.config
         m = view.size
-        tokens = [c.mask_node_token if t == MASK else t for t in view.node_tokens]
-        h = ad.rows(self._get(tape, "node_embed"), tokens)
-        nbrs = [[b for b in range(m) if b != a and view.edge_states[a][b] != ABSENT]
-                for a in range(m)]
+        states = np.array(view.edge_states, dtype=int).reshape(m, m)
+        neighbours = states != ABSENT                 # the diagonal is ABSENT
+        edge_tokens = np.where(states == MASK, c.mask_edge_token, states)
+        np.fill_diagonal(edge_tokens, c.self_edge_token)
+        node_tokens = [c.mask_node_token if t == MASK else t for t in view.node_tokens]
+        h = ad.rows(self._get(tape, "node_embed"), node_tokens)
+        e = ad.rows(self._get(tape, "edge_embed"), edge_tokens.reshape(-1))  # (m*m, d)
 
-        def edge_token(a, b):
-            s = view.edge_states[a][b]
-            return c.mask_edge_token if s == MASK else s
-
-        for l in range(c.layers):
-            if c.aggregator == "gat":
-                h = self._gat_layer(view, h, nbrs, edge_token, l, tape)
-            else:
-                h = self._gru_layer(view, h, nbrs, edge_token, l, tape)
-        return h, ad.tmean(h, axis=0)
-
-    def _gat_layer(self, view, h, nbrs, edge_token, l, tape):
-        c = self.config
-        m = view.size
-        wh = ad.add(ad.matmul(h, self._get(tape, f"l{l}_w")), self._get(tape, f"l{l}_b"))
-        s = ad.matmul(wh, self._get(tape, f"l{l}_asrc"))
-        r = ad.matmul(wh, self._get(tape, f"l{l}_adst"))
-        edge_table = self._get(tape, "edge_embed")
-        outs = []
-        for a in range(m):
-            nb = nbrs[a] + [a]
-            etoks = [edge_token(a, b) for b in nbrs[a]] + [c.self_edge_token]
-            e_emb = ad.rows(edge_table, etoks)
-            logits = ad.add(ad.pick(s, a), ad.take(r, nb))
-            if c.edge_in_attention:
-                logits = ad.add(logits, ad.matmul(e_emb, self._get(tape, f"l{l}_aedge")))
-            alpha = ad.softmax(ad.leaky_relu(logits, slope=c.leaky_slope))
-            msgs = ad.rows(wh, nb)
-            if c.edge_in_attention:
-                msgs = ad.add(msgs, ad.matmul(e_emb, self._get(tape, f"l{l}_p")))
-            outs.append(ad.tsum(ad.mul(ad.reshape(alpha, (len(nb), 1)), msgs), axis=0))
-        return ad.add(ad.relu(ad.stack(outs)), h)
-
-    def _gru_layer(self, view, h, nbrs, edge_token, l, tape):
-        c = self.config
-        m = view.size
-        gru_params = {gp: self._get(tape, f"l{l}_{gp}")
-                      for gp in ("wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc")}
-        edge_table = self._get(tape, "edge_embed")
-        outs = []
-        for a in range(m):
-            h_a = ad.reshape(ad.rows(h, [a]), (c.hidden,))
-            nb = nbrs[a]
-            if nb:
-                e_emb = ad.rows(edge_table, [edge_token(a, b) for b in nb])
-                inp = ad.concat([ad.tile_row(h_a, len(nb)), ad.rows(h, nb), e_emb], axis=1)
+        if c.aggregator == "gat":
+            attend = neighbours | np.eye(m, dtype=bool)
+            for l in range(c.layers):
+                wh = ad.add(ad.matmul(h, self._get(tape, f"l{l}_w")),
+                            self._get(tape, f"l{l}_b"))
+                s = ad.reshape(ad.matmul(wh, self._get(tape, f"l{l}_asrc")), (m, 1))
+                r = ad.reshape(ad.matmul(wh, self._get(tape, f"l{l}_adst")), (1, m))
+                logits = ad.add(s, r)
+                msgs = wh                              # broadcasts as (1, m, d)
+                if c.edge_in_attention:
+                    e_att = ad.matmul(e, self._get(tape, f"l{l}_aedge"))
+                    logits = ad.add(logits, ad.reshape(e_att, (m, m)))
+                    e_msg = ad.matmul(e, self._get(tape, f"l{l}_p"))
+                    msgs = ad.add(ad.reshape(e_msg, (m, m, c.hidden)), wh)
+                alpha = ad.masked_softmax(ad.leaky_relu(logits, slope=c.leaky_slope),
+                                          attend, axis=1)
+                out = ad.tsum(ad.mul(ad.reshape(alpha, (m, m, 1)), msgs), axis=1)
+                h = ad.add(ad.relu(out), h)   # residual connection
+        else:
+            src = np.repeat(np.arange(m), m)            # a of the pair (a, b)
+            dst = np.tile(np.arange(m), m)              # b of the pair (a, b)
+            keep = neighbours.reshape(m * m, 1).astype(np.float64)
+            for l in range(c.layers):
+                inp = ad.concat([ad.rows(h, src), ad.rows(h, dst), e], axis=1)
                 msg = _mlp2(inp, self._get(tape, f"l{l}_f1"), self._get(tape, f"l{l}_f1b"),
                             self._get(tape, f"l{l}_f2"), self._get(tape, f"l{l}_f2b"))
                 gate = ad.sigmoid(_mlp2(inp, self._get(tape, f"l{l}_g1"),
                                         self._get(tape, f"l{l}_g1b"),
                                         self._get(tape, f"l{l}_g2"),
                                         self._get(tape, f"l{l}_g2b")))
-                agg = ad.tsum(ad.mul(gate, msg), axis=0)
-            else:
-                agg = Tensor(np.zeros(c.hidden))
-            outs.append(gru_cell(h_a, agg, gru_params))
-        return ad.stack(outs)
+                gated = ad.mul(ad.mul(gate, keep), msg)   # exact zero off the edges
+                agg = ad.tsum(ad.reshape(gated, (m, m, c.hidden)), axis=1)
+                h = gru_cell(h, agg, {gp: self._get(tape, f"l{l}_{gp}")
+                                      for gp in ("wz", "uz", "bz", "wr", "ur", "br",
+                                                 "wc", "uc", "bc")})
+        return h, ad.tmean(h, axis=0)
 
     # -- heads ----------------------------------------------------------------
 
     def _log_heads(self, view: DenoisingView, tape: Tape | None):
-        """(node log-probs, mixture log-weights, per-component edge log-probs)."""
+        """(node log-probs, mixture log-weights, edge log-probs of shape (K, P, E))."""
         c = self.config
         h, h_g = self.message_pass(view, tape)
         h_t = ad.reshape(ad.rows(h, [view.target_index]), (c.hidden,))
@@ -231,22 +219,20 @@ class DenoiserNet:
         mix_logits = ad.tsum(_mlp2(pair, self._get(tape, "mh1"), self._get(tape, "mh1b"),
                                    self._get(tape, "mh2"), self._get(tape, "mh2b")), axis=0)
         mix_logw = ad.sub(mix_logits, ad.logsumexp(mix_logits))
-        edge_logp = []
-        for k in range(c.mixtures):
-            logits = _mlp2(pair, self._get(tape, f"eh{k}_1"), self._get(tape, f"eh{k}_1b"),
-                           self._get(tape, f"eh{k}_2"), self._get(tape, f"eh{k}_2b"))
-            lse = ad.reshape(ad.logsumexp(logits, axis=1), (len(prev), 1))
-            edge_logp.append(ad.sub(logits, lse))
-        return node_logp, mix_logw, edge_logp
+        edge_logits = ad.stack([
+            _mlp2(pair, self._get(tape, f"eh{k}_1"), self._get(tape, f"eh{k}_1b"),
+                  self._get(tape, f"eh{k}_2"), self._get(tape, f"eh{k}_2b"))
+            for k in range(c.mixtures)])
+        lse = ad.reshape(ad.logsumexp(edge_logits, axis=2), (c.mixtures, len(prev), 1))
+        return node_logp, mix_logw, ad.sub(edge_logits, lse)
 
     def predict_step(self, view: DenoisingView) -> StepPrediction:
         node_logp, mix_logw, edge_logp = self._log_heads(view, None)
         if mix_logw is None:
             return StepPrediction(np.exp(node_logp.data), None, None,
                                   tuple(view.prev_nodes()))
-        edge = np.stack([np.exp(e.data) for e in edge_logp], axis=0)
-        return StepPrediction(np.exp(node_logp.data), np.exp(mix_logw.data), edge,
-                              tuple(view.prev_nodes()))
+        return StepPrediction(np.exp(node_logp.data), np.exp(mix_logw.data),
+                              np.exp(edge_logp.data), tuple(view.prev_nodes()))
 
     def step_log_likelihood(self, view: DenoisingView, node_type: int,
                             observed_edges: dict[int, int],
@@ -265,11 +251,10 @@ class DenoiserNet:
         ll = ad.pick(node_logp, node_type)
         if not prev:
             return ll
-        cols = [observed_edges[v] for v in prev]
-        rows_ = list(range(len(prev)))
-        comps = [ad.tsum(ad.gather2d(edge_logp[k], rows_, cols)) for k in range(c.mixtures)]
-        comp_vec = ad.concat([ad.reshape(cp, (1,)) for cp in comps])
-        return ad.add(ll, ad.logsumexp(ad.add(mix_logw, comp_vec)))
+        observed = np.zeros((len(prev), c.num_edge_types))
+        observed[np.arange(len(prev)), [observed_edges[v] for v in prev]] = 1.0
+        comps = ad.tsum(ad.tsum(ad.mul(edge_logp, observed), axis=2), axis=1)   # (K,)
+        return ad.add(ll, ad.logsumexp(ad.add(mix_logw, comps)))
 
     def sample_step(self, view: DenoisingView, rng: np.random.Generator,
                     edge_mask=None):

@@ -3,8 +3,6 @@ optionally under a hard maximum-degree constraint."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +115,9 @@ def replay(trace: GenerationTrace, num_node_types: int,
 
 def generate_batch(denoiser: DenoiserNet, config: GenerationConfig) -> list[GenerationTrace]:
     """Independent generations; sample i uses the rng stream (seed, i)."""
-
-    def one(i: int) -> GenerationTrace:
+    traces = []
+    for i in range(config.count):
         rng = np.random.default_rng([config.seed, i])
         n = config.n if config.n is not None else sample_size(config.sizes, rng)
-        return generate(denoiser, n, rng, max_degree=config.max_degree)
-
-    workers = int(os.environ.get("AGD_THREADS", "1"))
-    if workers > 1 and config.count > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(config.count)))
-    return [one(i) for i in range(config.count)]
+        traces.append(generate(denoiser, n, rng, max_degree=config.max_degree))
+    return traces

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import (DiffusionTrajectory, GraphError, LabeledGraph,
-                     denoising_view, forward_trajectory, observed_step)
+                     denoising_view, forward_trajectory)
 from .model import ModelBundle
+from .training import denoiser_loss
 
 
 @dataclass
@@ -34,16 +35,10 @@ class NllEstimate:
 
 
 def trajectory_nll(model: ModelBundle, graph: LabeledGraph, ordering) -> float:
-    """-sum_t log p(step t) along the full trajectory for one ordering."""
-    traj = forward_trajectory(graph, ordering)
-    total = 0.0
-    for t in range(1, graph.n + 1):
-        state = traj.states[t]
-        target = traj.ordering[t - 1]
-        view = denoising_view(state, target)
-        node_type, observed = observed_step(graph, state, target)
-        total += model.denoiser.step_log_likelihood(view, node_type, observed).item()
-    return -total
+    """-sum_t log p(step t) along the full trajectory for one ordering: the
+    denoiser loss at every timestep, without soft labels."""
+    return denoiser_loss(graph, forward_trajectory(graph, ordering),
+                         range(1, graph.n + 1), model.denoiser)
 
 
 class _OrderingCache:
@@ -72,15 +67,6 @@ class _OrderingCache:
             logq += float(logp[idx])
             prefix = prefix + (remaining[idx],)
         return prefix, logq
-
-    def log_prob(self, ordering: tuple) -> float:
-        prefix: tuple = ()
-        total = 0.0
-        for v in ordering:
-            remaining, _, logp = self.step(prefix)
-            total += float(logp[remaining.index(v)])
-            prefix = prefix + (v,)
-        return total
 
     def ordering_nll(self, ordering: tuple) -> float:
         cached = self.nll.get(ordering)

@@ -4,10 +4,110 @@ import math
 import numpy as np
 import pytest
 
-from agd.autodiff import Tape, grad_check
-from agd.denoiser import DenoiserConfig, DenoiserNet
-from agd.graphs import (ABSENT, MASK, absorb_node, denoising_view,
+from agd import autodiff as ad
+from agd.autodiff import Tape, Tensor, grad_check, gru_cell
+from agd.denoiser import DenoiserConfig, DenoiserNet, _mlp2
+from agd.graphs import (ABSENT, MASK, DenoisingView, absorb_node, denoising_view,
                         forward_trajectory, initial_state, new_graph, permute)
+from agd.training import denoiser_loss
+
+
+def reference_message_pass(net, view, tape=None):
+    """The per-node, per-neighbour loop that DenoiserNet.message_pass
+    replaced, kept as the reference for the dense masked forward."""
+    c = net.config
+    m = view.size
+    get = lambda name: net._get(tape, name)
+    tokens = [c.mask_node_token if t == MASK else t for t in view.node_tokens]
+    h = ad.rows(get("node_embed"), tokens)
+    nbrs = [[b for b in range(m) if b != a and view.edge_states[a][b] != ABSENT]
+            for a in range(m)]
+
+    def edge_token(a, b):
+        s = view.edge_states[a][b]
+        return c.mask_edge_token if s == MASK else s
+
+    edge_table = get("edge_embed")
+    for l in range(c.layers):
+        outs = []
+        if c.aggregator == "gat":
+            wh = ad.add(ad.matmul(h, get(f"l{l}_w")), get(f"l{l}_b"))
+            s = ad.matmul(wh, get(f"l{l}_asrc"))
+            r = ad.matmul(wh, get(f"l{l}_adst"))
+            for a in range(m):
+                nb = nbrs[a] + [a]
+                e_emb = ad.rows(edge_table, [edge_token(a, b) for b in nbrs[a]]
+                                + [c.self_edge_token])
+                logits = ad.add(ad.pick(s, a), ad.take(r, nb))
+                if c.edge_in_attention:
+                    logits = ad.add(logits, ad.matmul(e_emb, get(f"l{l}_aedge")))
+                alpha = ad.softmax(ad.leaky_relu(logits, slope=c.leaky_slope))
+                msgs = ad.rows(wh, nb)
+                if c.edge_in_attention:
+                    msgs = ad.add(msgs, ad.matmul(e_emb, get(f"l{l}_p")))
+                outs.append(ad.tsum(ad.mul(ad.reshape(alpha, (len(nb), 1)), msgs), axis=0))
+            h = ad.add(ad.relu(ad.stack(outs)), h)
+        else:
+            gru_params = {gp: get(f"l{l}_{gp}") for gp in
+                          ("wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc")}
+            for a in range(m):
+                h_a = ad.reshape(ad.rows(h, [a]), (c.hidden,))
+                nb = nbrs[a]
+                if nb:
+                    e_emb = ad.rows(edge_table, [edge_token(a, b) for b in nb])
+                    inp = ad.concat([ad.tile_row(h_a, len(nb)), ad.rows(h, nb), e_emb],
+                                    axis=1)
+                    msg = _mlp2(inp, get(f"l{l}_f1"), get(f"l{l}_f1b"),
+                                get(f"l{l}_f2"), get(f"l{l}_f2b"))
+                    gate = ad.sigmoid(_mlp2(inp, get(f"l{l}_g1"), get(f"l{l}_g1b"),
+                                            get(f"l{l}_g2"), get(f"l{l}_g2b")))
+                    agg = ad.tsum(ad.mul(gate, msg), axis=0)
+                else:
+                    agg = Tensor(np.zeros(c.hidden))
+                outs.append(gru_cell(h_a, agg, gru_params))
+            h = ad.stack(outs)
+    return h, ad.tmean(h, axis=0)
+
+
+def reference_log_heads(net, view, tape=None):
+    """The heads over the reference loop, with one edge log-prob matrix per
+    mixture component."""
+    c = net.config
+    get = lambda name: net._get(tape, name)
+    h, h_g = reference_message_pass(net, view, tape)
+    h_t = ad.reshape(ad.rows(h, [view.target_index]), (c.hidden,))
+    node_logits = ad.reshape(_mlp2(ad.reshape(ad.concat([h_g, h_t]), (1, 2 * c.hidden)),
+                                   get("nh1"), get("nh1b"), get("nh2"), get("nh2b")),
+                             (c.num_node_types,))
+    node_logp = ad.sub(node_logits, ad.logsumexp(node_logits))
+    prev = view.prev_nodes()
+    if not prev:
+        return node_logp, None, None
+    prev_idx = [view.nodes.index(v) for v in prev]
+    pair = ad.concat([ad.tile_row(h_g, len(prev)), ad.tile_row(h_t, len(prev)),
+                      ad.rows(h, prev_idx)], axis=1)
+    mix_logits = ad.tsum(_mlp2(pair, get("mh1"), get("mh1b"), get("mh2"), get("mh2b")),
+                         axis=0)
+    mix_logw = ad.sub(mix_logits, ad.logsumexp(mix_logits))
+    edge_logp = []
+    for k in range(c.mixtures):
+        logits = _mlp2(pair, get(f"eh{k}_1"), get(f"eh{k}_1b"), get(f"eh{k}_2"),
+                       get(f"eh{k}_2b"))
+        lse = ad.reshape(ad.logsumexp(logits, axis=1), (len(prev), 1))
+        edge_logp.append(ad.sub(logits, lse))
+    return node_logp, mix_logw, edge_logp
+
+
+def reference_step_log_likelihood(net, view, node_type, observed_edges, tape=None):
+    node_logp, mix_logw, edge_logp = reference_log_heads(net, view, tape)
+    ll = ad.pick(node_logp, node_type)
+    prev = view.prev_nodes()
+    if not prev:
+        return ll
+    flat = [j * net.config.num_edge_types + observed_edges[v] for j, v in enumerate(prev)]
+    comps = [ad.reshape(ad.tsum(ad.take(ad.reshape(lp, (-1,)), flat)), (1,))
+             for lp in edge_logp]
+    return ad.add(ll, ad.logsumexp(ad.add(mix_logw, ad.concat(comps))))
 
 
 def tiny_denoiser(num_node_types=2, num_edge_types=3, aggregator="gat",
@@ -118,6 +218,134 @@ class TestMessagePass:
         h, h_g = net.message_pass(denoising_view(state, 0))
         assert h.data.shape == (1, net.config.hidden)
         assert np.array_equal(h.data[0], h_g.data)
+
+
+def single_node_view():
+    g = new_graph([1], [], 2, 3)
+    return denoising_view(absorb_node(initial_state(g), 0), 0)
+
+
+def isolated_node_view():
+    """Node 1 has no edge state to anyone, not even MASK to the target, so
+    its dense row is all ABSENT: the loop gave it an empty neighbour list."""
+    A, M = ABSENT, MASK
+    return DenoisingView(nodes=(0, 1, 2, 3), node_tokens=(0, 1, 1, MASK), target=3,
+                         edge_states=((A, A, 2, M), (A, A, A, A), (2, A, A, M),
+                                      (M, A, M, A)))
+
+
+def hub_view():
+    """Ten nodes; node 0 is adjacent to eight of them."""
+    edges = [(0, j, 1 + j % 2) for j in range(1, 9)] + [(3, 5, 2), (6, 7, 1), (8, 9, 2)]
+    g = new_graph([0, 1, 0, 0, 1, 1, 0, 1, 0, 1], edges, 2, 3)
+    return denoising_view(absorb_node(initial_state(g), 4), 4)
+
+
+VIEWS = {"single": single_node_view, "isolated": isolated_node_view, "hub": hub_view}
+DENSE_CASES = [("gat", {}), ("gat", {"edge_in_attention": False}), ("gru-gate", {})]
+
+
+def observed_for(view):
+    return {v: v % 3 for v in view.prev_nodes()}
+
+
+def tape_gradients(net, fn):
+    tape = Tape()
+    for p in net.params.values():
+        tape.register(p)
+    return tape.gradients(fn(tape))
+
+
+class TestDenseMatchesReference:
+    """The dense masked rounds against the per-node loop they replaced. Not
+    bit-identical: a masked row of m entries and a neighbour list are summed
+    with a different pairwise grouping, and BLAS blocks an (m*m, d) product
+    differently from a (k, d) one."""
+
+    TOL = 1e-12
+
+    def assert_close(self, got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= self.TOL
+
+    def check_values(self, net, view):
+        h, h_g = net.message_pass(view)
+        ref_h, ref_g = reference_message_pass(net, view)
+        self.assert_close(h.data, ref_h.data)
+        self.assert_close(h_g.data, ref_g.data)
+        node_logp, mix_logw, edge_logp = net._log_heads(view, None)
+        ref_node, ref_mix, ref_edges = reference_log_heads(net, view)
+        self.assert_close(node_logp.data, ref_node.data)
+        if view.prev_nodes():
+            self.assert_close(mix_logw.data, ref_mix.data)
+            self.assert_close(edge_logp.data, np.stack([e.data for e in ref_edges]))
+        else:
+            assert mix_logw is None and edge_logp is None and ref_edges is None
+        observed = observed_for(view)
+        self.assert_close(net.step_log_likelihood(view, 1, observed).data,
+                          reference_step_log_likelihood(net, view, 1, observed).data)
+
+    def check_gradients(self, net, view):
+        observed = observed_for(view)
+        dense = tape_gradients(net, lambda tape: net.step_log_likelihood(
+            view, 1, observed, tape))
+        ref = tape_gradients(net, lambda tape: reference_step_log_likelihood(
+            net, view, 1, observed, tape))
+        assert dense.keys() == ref.keys()
+        for name in ref:
+            self.assert_close(dense[name], ref[name])
+
+    @pytest.mark.parametrize("view_name", sorted(VIEWS))
+    @pytest.mark.parametrize("aggregator, overrides", DENSE_CASES)
+    def test_values(self, aggregator, overrides, view_name):
+        net = tiny_denoiser(aggregator=aggregator, seed=31, **overrides)
+        self.check_values(net, VIEWS[view_name]())
+
+    @pytest.mark.parametrize("view_name", sorted(VIEWS))
+    @pytest.mark.parametrize("aggregator, overrides", DENSE_CASES)
+    def test_gradients(self, aggregator, overrides, view_name):
+        net = tiny_denoiser(aggregator=aggregator, seed=33, **overrides)
+        self.check_gradients(net, VIEWS[view_name]())
+
+    @pytest.mark.parametrize("aggregator", ["gat", "gru-gate"])
+    def test_paper_widths_on_the_hub(self, aggregator):
+        config = DenoiserConfig(2, 3, aggregator=aggregator)
+        net = DenoiserNet.init(config, np.random.default_rng(35))
+        self.check_values(net, hub_view())
+        self.check_gradients(net, hub_view())
+
+    def test_isolated_node_gets_a_zero_message(self):
+        # with zero GRU weights the state moves only through the message:
+        # h' = (1 - z) h + z tanh(m Uc), so an exact zero message leaves
+        # tanh(0) = 0 and h' = h / 2 exactly
+        net = tiny_denoiser(aggregator="gru-gate", seed=37, layers=1)
+        for gp in ("wz", "uz", "bz", "wr", "ur", "br", "wc", "bc"):
+            net.params[f"l0_{gp}"].data[:] = 0.0
+        view = isolated_node_view()
+        h, _ = net.message_pass(view)
+        embed = net.params["node_embed"].data[view.node_tokens[1]]
+        assert np.array_equal(h.data[1], embed / 2)
+
+    @pytest.mark.parametrize("aggregator, loop_entries", [("gat", 4_132),
+                                                          ("gru-gate", 8_822)])
+    def test_tape_size_guard(self, aggregator, loop_entries):
+        # The per-node loop recorded `loop_entries` tape entries for this
+        # loss at the default widths; a loop over nodes coming back fails
+        # the bound.
+        rng = np.random.default_rng(5)
+        n = 16
+        edges = [(0, j, 1) for j in range(1, 10)] + [
+            (i, j, 1) for i in range(1, n) for j in range(i + 1, n) if rng.random() < 0.2]
+        g = new_graph([0] * n, edges, 1, 2)
+        net = DenoiserNet.init(DenoiserConfig(1, 2, aggregator=aggregator),
+                               np.random.default_rng(6))
+        tape = Tape()
+        for p in net.params.values():
+            tape.register(p)
+        loss = denoiser_loss(g, forward_trajectory(g, range(n)), (4, 8, 12, 16), net,
+                             tape=tape)
+        tape.gradients(loss)
+        assert len(tape._entries) <= loop_entries // 2
 
 
 class TestPredictStep:

@@ -146,6 +146,23 @@ class TestGenerateBatch:
         assert all(max(t.graph.degree(v) for v in range(t.graph.n)) <= 2
                    for t in traces)
 
+    def test_sample_i_uses_its_own_rng_stream(self):
+        net = tiny_denoiser(seed=15)
+        fixed = generate_batch(net, GenerationConfig(count=4, n=5, max_degree=2, seed=6))
+        for i, trace in enumerate(fixed):
+            assert trace == generate(net, 5, np.random.default_rng([6, i]), max_degree=2)
+        pooled = generate_batch(net, GenerationConfig(count=4, sizes=(2, 4, 6), seed=7))
+        for i, trace in enumerate(pooled):
+            rng = np.random.default_rng([7, i])
+            assert trace == generate(net, sample_size((2, 4, 6), rng), rng)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_batch_is_a_prefix_of_a_larger_batch(self, count):
+        net = tiny_denoiser(seed=17)
+        small = generate_batch(net, GenerationConfig(count=count, sizes=(3, 5), seed=8))
+        large = generate_batch(net, GenerationConfig(count=count + 1, sizes=(3, 5), seed=8))
+        assert large[:count] == small
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GenerationConfig(count=1)
