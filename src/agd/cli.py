@@ -124,14 +124,17 @@ def cmd_train(args) -> int:
     cfg = RunConfig.load(args.config)
     if not cfg.paths["corpus"]:
         raise ConfigError("training needs 'corpus' in [paths]")
+    denoiser_config = cfg.denoiser_config()
     corpus = load_corpus(cfg.paths["corpus"])
+    _check_vocabulary(corpus, cfg.paths["corpus"], denoiser_config)
     if cfg.paths["val_corpus"]:
-        val = load_corpus(cfg.paths["val_corpus"]).graphs
-        train = corpus.graphs
+        val_corpus = load_corpus(cfg.paths["val_corpus"])
+        _check_vocabulary(val_corpus, cfg.paths["val_corpus"], denoiser_config)
+        train, val = corpus.graphs, val_corpus.graphs
     else:
         train_c, val_c, _ = split(corpus, cfg.seed, cfg.train["val_fraction"])
         train, val = train_c.graphs, val_c.graphs
-    model = ModelBundle.init(cfg.ordering_config(), cfg.denoiser_config(),
+    model = ModelBundle.init(cfg.ordering_config(), denoiser_config,
                              np.random.default_rng(cfg.seed),
                              lr_denoiser=cfg.train["lr_denoiser"],
                              lr_ordering=cfg.train["lr_ordering"])
@@ -150,7 +153,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _generation_config(args, count_override=None):
+def _check_vocabulary(corpus: Corpus, path, config) -> None:
+    """Reject a corpus whose node or edge types the model cannot represent."""
+    if (corpus.num_node_types > config.num_node_types
+            or corpus.num_edge_types > config.num_edge_types):
+        raise CliError(f"{path} has {corpus.num_node_types} node types and "
+                       f"{corpus.num_edge_types} edge types; the model has "
+                       f"{config.num_node_types} and {config.num_edge_types}")
+
+
+def _generation_config(args):
     if (args.n is None) == (args.size_from is None):
         raise CliError("give exactly one of --n or --size-from")
     sizes = None
@@ -158,7 +170,7 @@ def _generation_config(args, count_override=None):
         sizes = tuple(load_corpus(args.size_from).sizes())
         if not sizes:
             raise CliError(f"no graphs in {args.size_from}")
-    return GenerationConfig(count=count_override or args.count, n=args.n,
+    return GenerationConfig(count=args.count, n=args.n,
                             sizes=sizes, max_degree=args.max_degree,
                             seed=args.seed)
 
@@ -205,6 +217,7 @@ def cmd_evaluate(args) -> int:
 def cmd_nll(args) -> int:
     bundle = ModelBundle.load(args.checkpoint)
     corpus = load_corpus(args.corpus)
+    _check_vocabulary(corpus, args.corpus, bundle.denoiser.config)
     rng = np.random.default_rng(args.seed)
     records = []
     for idx, g in enumerate(corpus.graphs):
@@ -238,33 +251,29 @@ def _order_stats(traces, rng):
     return float(np.mean(learned)), float(np.mean(uniform))
 
 
+def _ablation_stats(checkpoint, corpus: Corpus, args):
+    """Generate from one checkpoint at the corpus sizes; returns its learned
+    order stats and MMD, and the uniform-order cross-cluster mean."""
+    bundle = ModelBundle.load(checkpoint)
+    traces = generate_batch(bundle.denoiser,
+                            GenerationConfig(count=args.count, sizes=tuple(corpus.sizes()),
+                                             seed=args.seed))
+    learned, uniform = _order_stats(traces, np.random.default_rng(args.seed + 1))
+    return ({"cross_cluster_mean": learned,
+             **mmd_report([t.graph for t in traces], corpus.graphs).to_dict()},
+            uniform)
+
+
 def cmd_ablate(args) -> int:
-    bundle = ModelBundle.load(args.checkpoint)
     corpus = load_corpus(args.corpus)
     if not corpus.graphs:
         raise CliError(f"no graphs in {args.corpus}")
-    sizes = tuple(corpus.sizes())
-    traces = generate_batch(bundle.denoiser,
-                            GenerationConfig(count=args.count, sizes=sizes,
-                                             seed=args.seed))
-    rng = np.random.default_rng(args.seed + 1)
-    learned_counts, uniform_counts = _order_stats(traces, rng)
-    report = {
-        "count": args.count,
-        "learned": {"cross_cluster_mean": learned_counts,
-                    **mmd_report([t.graph for t in traces], corpus.graphs).to_dict()},
-        "uniform_order_baseline": {"cross_cluster_mean": uniform_counts},
-    }
+    learned, uniform = _ablation_stats(args.checkpoint, corpus, args)
+    report = {"count": args.count, "learned": learned,
+              "uniform_order_baseline": {"cross_cluster_mean": uniform}}
     if args.baseline_checkpoint:
-        other = ModelBundle.load(args.baseline_checkpoint)
-        btraces = generate_batch(other.denoiser,
-                                 GenerationConfig(count=args.count, sizes=sizes,
-                                                  seed=args.seed))
-        brng = np.random.default_rng(args.seed + 1)
-        bl, _ = _order_stats(btraces, brng)
-        report["baseline_checkpoint"] = {
-            "cross_cluster_mean": bl,
-            **mmd_report([t.graph for t in btraces], corpus.graphs).to_dict()}
+        report["baseline_checkpoint"], _ = _ablation_stats(args.baseline_checkpoint,
+                                                           corpus, args)
     _write_json(args.out, report)
     return 0
 

@@ -62,10 +62,13 @@ _SCHEMA = {
     },
 }
 
-# OrderingConfig field -> its key in [model]
+# OrderingConfig / DenoiserConfig field -> its key in [model]
 _ORDERING_KEYS = {"num_node_types": "node_types", "layers": "ordering_layers",
                   "heads": "ordering_heads", "hidden": "ordering_hidden",
                   "embed_dim": "ordering_embed", "pe_dim": "ordering_pe"}
+_DENOISER_KEYS = {"num_node_types": "node_types", "num_edge_types": "edge_types",
+                  **{k: k for k in ("aggregator", "layers", "hidden", "mlp_hidden",
+                                    "mixtures", "edge_in_attention")}}
 
 
 @dataclass
@@ -108,30 +111,31 @@ class RunConfig:
                 raise ConfigError(f"path for '{key}' does not exist: {paths[key]}")
         cfg = cls(seed=values["run"]["seed"], model=values["model"],
                   train=values["train"], paths=paths)
-        cfg.ordering_config()   # reject bad ordering widths before any work
+        # reject bad values before any work
+        cfg.ordering_config()
+        cfg.denoiser_config()
+        cfg.train_config()
         return cfg
 
     def ordering_config(self) -> OrderingConfig:
-        try:
-            return OrderingConfig(**{field: self.model[key]
-                                     for field, key in _ORDERING_KEYS.items()})
-        except ValueError as exc:
-            key = _ORDERING_KEYS[str(exc).split()[0]]
-            raise ConfigError(f"bad value for '{key}' in [model]: {exc}") from None
+        return _build(OrderingConfig, "model", _ORDERING_KEYS, self.model)
 
     def denoiser_config(self) -> DenoiserConfig:
-        m = self.model
-        return DenoiserConfig(num_node_types=m["node_types"],
-                              num_edge_types=m["edge_types"],
-                              aggregator=m["aggregator"],
-                              layers=m["layers"], hidden=m["hidden"],
-                              mlp_hidden=m["mlp_hidden"],
-                              mixtures=m["mixtures"],
-                              edge_in_attention=m["edge_in_attention"])
+        return _build(DenoiserConfig, "model", _DENOISER_KEYS, self.model)
 
     def train_config(self) -> TrainConfig:
-        t = {k: v for k, v in self.train.items() if k != "val_fraction"}
-        return TrainConfig(seed=self.seed, **t)
+        keys = {k: k for k in self.train if k != "val_fraction"}
+        return _build(TrainConfig, "train", keys, self.train, seed=self.seed)
+
+
+def _build(cls, section, keys, values, **extra):
+    """cls from the values of `keys` (field -> config key); a rejected value
+    becomes a ConfigError naming its key, read off the message's first word."""
+    try:
+        return cls(**{field: values[key] for field, key in keys.items()}, **extra)
+    except ValueError as exc:
+        key = keys[str(exc).split()[0]]
+        raise ConfigError(f"bad value for '{key}' in [{section}]: {exc}") from None
 
 
 def _parse(section, key, kind, raw):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphError, LabeledGraph, new_graph
+from .graphs import GraphError, LabeledGraph, components, new_graph
 
 
 @dataclass
@@ -31,22 +31,6 @@ class Corpus:
 
     def sizes(self) -> list[int]:
         return [g.n for g in self.graphs]
-
-
-def _connected(edges, n) -> bool:
-    adj = [[] for _ in range(n)]
-    for (i, j) in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +59,10 @@ def gen_community_small(rng: np.random.Generator, count: int,
                 for j in range(half, n):
                     if rng.random() < p_inter:
                         pairs.append((i, j))
-            if _connected(pairs, n):
+            g = new_graph([0] * n, [(i, j, 1) for i, j in pairs], 1, 2)
+            if len(components(g)) == 1:
                 break
-        graphs.append(new_graph([0] * n, [(i, j, 1) for i, j in pairs], 1, 2))
+        graphs.append(g)
     return Corpus(graphs, 1, 2, {"generator": "community-small",
                                  "size_range": list(size_range)})
 
@@ -128,21 +113,21 @@ def _preferential_attachment(rng: np.random.Generator, n: int, m: int = 2):
 def ego_graph(base: LabeledGraph, center: int, radius: int = 2):
     """Induced subgraph of everything within `radius` hops of `center`.
     Returns (graph, new index of the center)."""
-    adj = [[] for _ in range(base.n)]
-    for (i, j) in base.edges:
-        adj[i].append(j)
-        adj[j].append(i)
     nodes = {center}
     frontier = [center]
     for _ in range(radius):
-        frontier = [u for v in frontier for u in adj[v] if u not in nodes]
+        frontier = [u for v in frontier for u in base.neighbors(v) if u not in nodes]
         nodes.update(frontier)
+    return _induced(base, nodes), sorted(nodes).index(center)
+
+
+def _induced(base: LabeledGraph, nodes) -> LabeledGraph:
+    """The subgraph on `nodes`, relabeled in ascending order."""
     relabel = {v: i for i, v in enumerate(sorted(nodes))}
     edges = [(relabel[i], relabel[j], k) for (i, j), k in base.edges.items()
              if i in relabel and j in relabel]
-    types = [base.node_types[v] for v in sorted(nodes)]
-    return new_graph(types, edges, base.num_node_types,
-                     base.num_edge_types), relabel[center]
+    return new_graph([base.node_types[v] for v in sorted(nodes)], edges,
+                     base.num_node_types, base.num_edge_types)
 
 
 def gen_ego(rng: np.random.Generator, count: int, base_size: int = 120,
@@ -163,13 +148,7 @@ def gen_ego(rng: np.random.Generator, count: int, base_size: int = 120,
             g, c = ego_graph(base, center, radius=1)
         if g.n > hi:
             # keep the center and its lowest-indexed neighbors
-            keep = {center, *sorted(base.neighbors(center))[:hi - 1]}
-            relabel = {v: i for i, v in enumerate(sorted(keep))}
-            edges = [(relabel[i], relabel[j], k)
-                     for (i, j), k in base.edges.items()
-                     if i in relabel and j in relabel]
-            g = new_graph([base.node_types[v] for v in sorted(keep)], edges,
-                          base.num_node_types, base.num_edge_types)
+            g = _induced(base, {center, *base.neighbors(center)[:hi - 1]})
         if g.n < lo:
             continue
         graphs.append(g)

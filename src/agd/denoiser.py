@@ -35,6 +35,18 @@ class DenoiserConfig:
     edge_in_attention: bool = True
     leaky_slope: float = 0.2
 
+    def __post_init__(self):
+        # Each message starts with the field name; RunConfig maps it to its key.
+        if self.aggregator not in ("gat", "gru-gate"):
+            raise ValueError("aggregator must be 'gat' or 'gru-gate', "
+                             f"got {self.aggregator!r}")
+        for name in ("num_node_types", "num_edge_types", "hidden", "mlp_hidden",
+                     "mixtures"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.layers < 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -77,8 +89,6 @@ def _mlp2(x: Tensor, w1, b1, w2, b2) -> Tensor:
 
 class DenoiserNet:
     def __init__(self, config: DenoiserConfig, params: dict[str, Parameter]):
-        if config.aggregator not in ("gat", "gru-gate"):
-            raise ValueError(f"unknown aggregator: {config.aggregator!r}")
         self.config = config
         self.params = params
 

@@ -8,6 +8,9 @@ denoising view, but is never stored in a base graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 ABSENT = 0
 MASK = -1
@@ -40,17 +43,23 @@ class LabeledGraph:
         key = (i, j) if i < j else (j, i)
         return self.edges.get(key, ABSENT)
 
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only (n, n) matrix of edge types, ABSENT off the edges and on
+        the diagonal; built from `edges` on first use."""
+        out = np.full((self.n, self.n), ABSENT, dtype=int)
+        pairs = np.array(list(self.edges), dtype=int).reshape(-1, 2)
+        types = list(self.edges.values())
+        out[pairs[:, 0], pairs[:, 1]] = types
+        out[pairs[:, 1], pairs[:, 0]] = types
+        out.flags.writeable = False
+        return out
+
     def neighbors(self, i: int) -> list[int]:
-        out = []
-        for (a, b) in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return np.flatnonzero(self.adjacency[i] != ABSENT).tolist()
 
     def degree(self, i: int) -> int:
-        return sum(1 for (a, b) in self.edges if a == i or b == i)
+        return int(np.count_nonzero(self.adjacency[i] != ABSENT))
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         return [(i, j, k) for (i, j), k in sorted(self.edges.items())]
@@ -97,6 +106,25 @@ def new_graph(node_types, edge_list, num_node_types: int | None = None,
         if k >= num_edge_types:
             raise GraphError(f"edge type {k} outside vocabulary of size {num_edge_types}")
     return LabeledGraph(node_types, edges, num_node_types, max(num_edge_types, 1))
+
+
+def components(graph: LabeledGraph) -> list[list[int]]:
+    """Connected components as sorted node lists, ordered by smallest node."""
+    linked = graph.adjacency != ABSENT
+    seen = np.zeros(graph.n, dtype=bool)
+    comps = []
+    for start in range(graph.n):
+        if seen[start]:
+            continue
+        reach = np.zeros(graph.n, dtype=bool)
+        reach[start] = True
+        frontier = reach
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~reach
+            reach |= frontier
+        seen |= reach
+        comps.append(np.flatnonzero(reach).tolist())
+    return comps
 
 
 def empty_graph(n: int, num_node_types: int, num_edge_types: int) -> LabeledGraph:
@@ -200,18 +228,11 @@ def denoising_view(state: MaskedGraph, target: int) -> DenoisingView:
         raise GraphError(f"target {target} is not masked")
     kept = sorted(state.unmasked_nodes() + [target])
     tokens = tuple(MASK if v == target else state.base.node_types[v] for v in kept)
-    size = len(kept)
-    states = [[ABSENT] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a + 1, size):
-            va, vb = kept[a], kept[b]
-            if va == target or vb == target:
-                s = MASK
-            else:
-                s = state.base.edge_type(va, vb)
-            states[a][b] = s
-            states[b][a] = s
-    return DenoisingView(tuple(kept), tokens, target, tuple(tuple(r) for r in states))
+    states = state.base.adjacency[np.ix_(kept, kept)]
+    t = kept.index(target)
+    states[t, :] = states[:, t] = MASK
+    states[t, t] = ABSENT
+    return DenoisingView(tuple(kept), tokens, target, tuple(map(tuple, states.tolist())))
 
 
 def apply_prediction(state: MaskedGraph, target: int, node_type: int,

@@ -19,18 +19,10 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .graphs import LabeledGraph
+from .graphs import ABSENT, LabeledGraph, components
 
 DESCRIPTOR_KINDS = ("degree", "clustering", "orbit")
 CLUSTERING_BINS = 100
-
-
-def _adjacency_sets(graph: LabeledGraph) -> list[set[int]]:
-    adj = [set() for _ in range(graph.n)]
-    for (i, j) in graph.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -39,27 +31,17 @@ def _adjacency_sets(graph: LabeledGraph) -> list[set[int]]:
 
 def degree_histogram(graph: LabeledGraph) -> np.ndarray:
     """Fraction of nodes at each degree, bins 0..max_degree."""
-    degrees = [len(s) for s in _adjacency_sets(graph)]
-    hist = np.bincount(degrees, minlength=max(degrees) + 1).astype(float)
+    degrees = np.count_nonzero(graph.adjacency != ABSENT, axis=1)
+    hist = np.bincount(degrees, minlength=degrees.max() + 1).astype(float)
     return hist / graph.n
 
 
 def clustering_coefficients(graph: LabeledGraph) -> np.ndarray:
     """Local clustering coefficient per node (0 below degree 2)."""
-    adj = _adjacency_sets(graph)
-    out = np.zeros(graph.n)
-    for i in range(graph.n):
-        d = len(adj[i])
-        if d < 2:
-            continue
-        links = 0
-        nbrs = sorted(adj[i])
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                if nbrs[b] in adj[nbrs[a]]:
-                    links += 1
-        out[i] = 2.0 * links / (d * (d - 1))
-    return out
+    a = (graph.adjacency != ABSENT).astype(int)
+    deg = a.sum(axis=1)
+    links = (a @ a * a).sum(axis=1) // 2       # edges among each node's neighbours
+    return np.where(deg >= 2, 2.0 * links / np.maximum(deg * (deg - 1), 1), 0.0)
 
 
 def clustering_histogram(graph: LabeledGraph, bins: int = CLUSTERING_BINS) -> np.ndarray:
@@ -105,22 +87,23 @@ def graphlet_counts_4(graph: LabeledGraph) -> dict[str, int]:
 
 
 def _orbits_and_graphlets(graph: LabeledGraph):
-    adj = _adjacency_sets(graph)
-    n = graph.n
-    counts = np.zeros((n, 11), dtype=int)
+    adj = (graph.adjacency != ABSENT).tolist()
+    counts = [[0] * 11 for _ in range(graph.n)]
     occ = {name: 0 for name in GRAPHLET_NAMES}
-    for quad in itertools.combinations(range(n), 4):
-        degs = [sum(1 for other in quad if other != v and other in adj[v])
-                for v in quad]
+    for quad in itertools.combinations(range(graph.n), 4):
+        a, b, c, d = quad
+        ab, ac, ad, bc, bd, cd = (adj[a][b], adj[a][c], adj[a][d],
+                                  adj[b][c], adj[b][d], adj[c][d])
+        degs = (ab + ac + ad, ab + bc + bd, ac + bc + cd, ad + bd + cd)
         if min(degs) == 0 or sum(degs) < 6:      # disconnected
             continue
         name = _GRAPHLET_BY_DEGSEQ.get(tuple(sorted(degs)))
         if name is None:
             continue
         occ[name] += 1
-        for v, d in zip(quad, degs):
-            counts[v, _ORBIT_BY_GRAPHLET_DEGREE[(name, d)]] += 1
-    return counts, occ
+        for v, deg in zip(quad, degs):
+            counts[v][_ORBIT_BY_GRAPHLET_DEGREE[(name, deg)]] += 1
+    return np.array(counts, dtype=int), occ
 
 
 def descriptor(graph: LabeledGraph, kind: str) -> np.ndarray:
@@ -225,33 +208,13 @@ def descriptors_csv(graphs, kind: str) -> str:
 # spectral bipartition and generation-order analysis
 # ---------------------------------------------------------------------------
 
-def _components(graph: LabeledGraph) -> list[list[int]]:
-    adj = _adjacency_sets(graph)
-    seen = [False] * graph.n
-    comps = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
 def spectral_bipartition(graph: LabeledGraph):
     """Two-cluster labels from the sign of the normalized-Laplacian Fiedler
     vector (zero entries join the positive side). Disconnected graphs are
     split by grouping whole components onto balanced sides; the returned
     flag reports whether the graph was connected."""
     n = graph.n
-    comps = _components(graph)
+    comps = components(graph)
     if len(comps) > 1:
         labels = np.zeros(n, dtype=int)
         totals = [0, 0]
@@ -263,11 +226,7 @@ def spectral_bipartition(graph: LabeledGraph):
         return labels, False
     if n == 1:
         return np.zeros(1, dtype=int), True
-    adj = _adjacency_sets(graph)
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in adj[i]:
-            a[i, j] = 1.0
+    a = (graph.adjacency != ABSENT).astype(float)
     deg = a.sum(axis=1)
     dinv = 1.0 / np.sqrt(deg)
     lap = np.eye(n) - dinv[:, None] * a * dinv[None, :]
@@ -295,10 +254,7 @@ def cross_cluster_count(order_or_trace, labels) -> int:
 
 def wl_hash(graph: LabeledGraph, rounds: int = 3) -> str:
     """Weisfeiler-Lehman graph hash over node and edge types."""
-    adj = [[] for _ in range(graph.n)]
-    for (i, j), k in graph.edges.items():
-        adj[i].append((j, k))
-        adj[j].append((i, k))
+    adj = graph.adjacency.tolist()
     labels = [str(t) for t in graph.node_types]
 
     def digest(text: str) -> str:
@@ -306,7 +262,8 @@ def wl_hash(graph: LabeledGraph, rounds: int = 3) -> str:
 
     for _ in range(rounds):
         labels = [digest(labels[v] + "|" + ";".join(
-            sorted(f"{k}:{labels[u]}" for u, k in adj[v]))) for v in range(graph.n)]
+            sorted(f"{k}:{labels[u]}" for u, k in enumerate(adj[v]) if k != ABSENT)))
+            for v in range(graph.n)]
     return digest(",".join(sorted(labels)) + f"#{graph.n}")
 
 
@@ -316,10 +273,10 @@ def isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
         return False
     if sorted(g1.node_types) != sorted(g2.node_types):
         return False
-    adj1 = _adjacency_sets(g1)
-    adj2 = _adjacency_sets(g2)
-    deg1 = [len(s) for s in adj1]
-    deg2 = [len(s) for s in adj2]
+    adj1 = g1.adjacency.tolist()
+    adj2 = g2.adjacency.tolist()
+    deg1 = [len(row) - row.count(ABSENT) for row in adj1]
+    deg2 = [len(row) - row.count(ABSENT) for row in adj2]
     if sorted(deg1) != sorted(deg2):
         return False
     n = g1.n
@@ -334,7 +291,7 @@ def isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
         # edge states (including absence) must agree with every mapped node
         for u in range(n):
             if u != v and mapping[u] != -1:
-                if g1.edge_type(v, u) != g2.edge_type(w, mapping[u]):
+                if adj1[v][u] != adj2[w][mapping[u]]:
                     return False
         return True
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor
-from .graphs import DiffusionTrajectory, GraphError, LabeledGraph, forward_trajectory
+from .graphs import (ABSENT, DiffusionTrajectory, GraphError, LabeledGraph,
+                     forward_trajectory)
 
 
 def positional_encoding(position: int, dim: int) -> np.ndarray:
@@ -124,10 +125,7 @@ class OrderingNet:
         x = ad.concat([emb, ad.stack(pe_rows)], axis=1)
         h = ad.add(ad.matmul(x, self._get(tape, "w_in")), self._get(tape, "b_in"))
 
-        neighbours = np.eye(n, dtype=bool)
-        for i, j in graph.edges:
-            neighbours[i, j] = neighbours[j, i] = True
-        neighbours = neighbours[:, :, None]          # (i, j, head)
+        neighbours = ((graph.adjacency != ABSENT) | np.eye(n, dtype=bool))[:, :, None]
         heads = range(c.heads)
         for l in range(c.layers):
             w = ad.concat([self._get(tape, f"l{l}_h{hd}_w") for hd in heads], axis=1)

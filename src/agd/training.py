@@ -51,12 +51,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trajectories < 1:
-            raise ValueError("need at least one trajectory per graph")
-        if self.timesteps < 1:
-            raise ValueError("need at least one sampled timestep")
-        if self.lr_denoiser <= 0 or self.lr_ordering <= 0:
-            raise ValueError("learning rates must be positive")
+        # Each message starts with the field name; RunConfig maps it to its key.
+        for name in ("batch_size", "val_batch_size", "trajectories", "timesteps",
+                     "soft_label_top_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("epochs", "eval_every", "select_samples"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("lr_denoiser", "lr_ordering"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0.0 <= self.baseline_decay <= 1.0:
+            raise ValueError(f"baseline_decay must be in [0, 1], got {self.baseline_decay}")
 
 
 @dataclass

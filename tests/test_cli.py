@@ -324,3 +324,108 @@ class TestBadOrderingConfig:
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert f"'{key}'" in err[0]
         assert not (tmp_path / "ckpts").exists()
+
+
+def _write_config(tmp_path, corpus, model=(), train=(), val_corpus=None):
+    """A tiny-width run config; `model` and `train` entries override keys."""
+    model = {"node_types": 1, "edge_types": 2, "layers": 1, "hidden": 5,
+             "mlp_hidden": 6, "mixtures": 2, "ordering_layers": 1,
+             "ordering_heads": 1, "ordering_hidden": 3, "ordering_embed": 4,
+             "ordering_pe": 4, **dict(model)}
+    train = {"epochs": 1, "batch_size": 4, "trajectories": 1, "timesteps": 2,
+             **dict(train)}
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nseed = 1\n\n[model]\n"
+                      + "".join(f"{k} = {v}\n" for k, v in model.items())
+                      + "\n[train]\n"
+                      + "".join(f"{k} = {v}\n" for k, v in train.items())
+                      + f"\n[paths]\ncorpus = {corpus}\n"
+                      + (f"val_corpus = {val_corpus}\n" if val_corpus else "")
+                      + f"checkpoint_dir = {tmp_path / 'ckpts'}\n")
+    return config
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+class TestBadModelAndTrainConfig:
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "layers", -1), ("model", "mixtures", 0), ("model", "hidden", 0),
+        ("model", "mlp_hidden", 0), ("model", "edge_types", 0),
+        ("model", "aggregator", "mean-pool"),
+        ("train", "epochs", -1), ("train", "batch_size", 0),
+        ("train", "val_batch_size", 0), ("train", "trajectories", 0),
+        ("train", "timesteps", 0), ("train", "soft_label_top_k", 0),
+        ("train", "baseline_decay", 7), ("train", "baseline_decay", -0.5),
+        ("train", "lr_denoiser", 0), ("train", "lr_ordering", -1),
+        ("train", "eval_every", -1), ("train", "select_samples", -1),
+    ])
+    def test_one_error_line_naming_the_key(self, tmp_path, capsys, section, key, value):
+        # the corpus is not valid JSON, so reaching it would give another error
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("not json\n")
+        config = _write_config(tmp_path, corpus, **{section: {key: value}})
+        assert run(["train", "--config", config]) == 1
+        line = _one_error_line(capsys)
+        assert f"'{key}' in [{section}]" in line, line
+        assert not (tmp_path / "ckpts").exists()
+
+
+class TestBadVocabulary:
+    @pytest.fixture
+    def typed_corpus(self, tmp_path):
+        corpus = tmp_path / "typed.jsonl"
+        run(["make-dataset", "--kind", "typed-toy", "--count", 6, "--seed", 3,
+             "--out", corpus])
+        return corpus
+
+    @pytest.mark.parametrize("model", [
+        {"node_types": 2, "edge_types": 4},
+        {"node_types": 4, "edge_types": 2},
+    ])
+    def test_train_rejects_a_larger_corpus_vocabulary(self, tmp_path, capsys,
+                                                      typed_corpus, model):
+        config = _write_config(tmp_path, typed_corpus, model=model)
+        assert run(["train", "--config", config]) == 1
+        line = _one_error_line(capsys)
+        assert "typed.jsonl" in line and "node types" in line
+        assert not (tmp_path / "ckpts").exists()
+
+    def test_train_checks_the_validation_corpus(self, tmp_path, capsys, typed_corpus):
+        corpus = tmp_path / "untyped.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 6, "--seed", 3,
+             "--out", corpus])
+        config = _write_config(tmp_path, corpus, val_corpus=typed_corpus)
+        assert run(["train", "--config", config]) == 1
+        assert "typed.jsonl" in _one_error_line(capsys)
+        assert not (tmp_path / "ckpts").exists()
+
+    def test_nll_rejects_a_larger_corpus_vocabulary(self, tmp_path, capsys,
+                                                    tiny_checkpoint, typed_corpus):
+        out = tmp_path / "nll.jsonl"
+        assert run(["nll", "--checkpoint", tiny_checkpoint, "--corpus", typed_corpus,
+                    "--samples", 2, "--out", out]) == 1
+        assert "typed.jsonl" in _one_error_line(capsys)
+        assert not out.exists()
+
+    def test_a_smaller_corpus_vocabulary_trains(self, tmp_path, typed_corpus):
+        config = _write_config(tmp_path, typed_corpus,
+                               model={"node_types": 5, "edge_types": 5,
+                                      "aggregator": "gru-gate"})
+        assert run(["train", "--config", config]) == 0
+
+
+class TestAblateBaselineCheckpoint:
+    def test_same_checkpoint_twice_gives_the_same_stats(self, tmp_path, tiny_checkpoint):
+        corpus = tmp_path / "c.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 4, "--seed", 2,
+             "--out", corpus])
+        out = tmp_path / "ablate.json"
+        assert run(["ablate-ordering", "--checkpoint", tiny_checkpoint,
+                    "--baseline-checkpoint", tiny_checkpoint, "--corpus", corpus,
+                    "--count", 6, "--seed", 4, "--out", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["baseline_checkpoint"] == report["learned"]

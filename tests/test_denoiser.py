@@ -499,3 +499,13 @@ class TestSampleStep:
         for key, p in probs.items():
             se = math.sqrt(p * (1 - p) / draws)
             assert abs(counts[key] / draws - p) < 3 * se + 1e-9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_node_types", 0), ("num_edge_types", 0), ("layers", -1), ("hidden", 0),
+    ("mlp_hidden", 0), ("mixtures", 0), ("aggregator", "mean-pool"),
+])
+def test_config_rejects_bad_values(field, value):
+    kwargs = {"num_node_types": 1, "num_edge_types": 2, field: value}
+    with pytest.raises(ValueError, match=f"^{field} "):
+        DenoiserConfig(**kwargs)

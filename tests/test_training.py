@@ -307,3 +307,20 @@ class TestCheckpointRoundTrip:
             a, b = getattr(original, net).params, getattr(loaded, net).params
             assert a.keys() == b.keys()
             assert all(np.array_equal(a[k].data, b[k].data) for k in a)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -1), ("batch_size", 0), ("val_batch_size", 0), ("trajectories", 0),
+    ("timesteps", 0), ("soft_label_top_k", 0), ("lr_denoiser", 0.0),
+    ("lr_ordering", -1e-3), ("baseline_decay", 7.0), ("baseline_decay", -0.1),
+    ("eval_every", -1), ("select_samples", -1),
+])
+def test_train_config_rejects_bad_values(field, value):
+    kwargs = {"epochs": 1, field: value}
+    with pytest.raises(ValueError, match=f"^{field} "):
+        TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("decay", [0.0, 1.0])
+def test_train_config_accepts_baseline_decay_bounds(decay):
+    assert TrainConfig(epochs=0, baseline_decay=decay).baseline_decay == decay
