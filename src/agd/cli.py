@@ -265,6 +265,8 @@ def _ablation_stats(checkpoint, corpus: Corpus, args):
 
 
 def cmd_ablate(args) -> int:
+    if args.count < 1:
+        raise CliError(f"--count must be >= 1, got {args.count}")
     corpus = load_corpus(args.corpus)
     if not corpus.graphs:
         raise CliError(f"no graphs in {args.corpus}")

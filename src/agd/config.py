@@ -115,6 +115,10 @@ class RunConfig:
         cfg.ordering_config()
         cfg.denoiser_config()
         cfg.train_config()
+        val_fraction = cfg.train["val_fraction"]
+        if not 0.0 < val_fraction < 1.0:
+            raise ConfigError("bad value for 'val_fraction' in [train]: "
+                              f"val_fraction must be in (0, 1), got {val_fraction}")
         return cfg
 
     def ordering_config(self) -> OrderingConfig:

@@ -87,6 +87,13 @@ def _mlp2(x: Tensor, w1, b1, w2, b2) -> Tensor:
     return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
 
 
+def _log_softmax(logits: Tensor) -> Tensor:
+    """Log-probabilities over the last axis."""
+    shape = logits.data.shape
+    lse = ad.logsumexp(logits, axis=len(shape) - 1)
+    return ad.sub(logits, ad.reshape(lse, shape[:-1] + (1,)))
+
+
 class DenoiserNet:
     def __init__(self, config: DenoiserConfig, params: dict[str, Parameter]):
         self.config = config
@@ -209,8 +216,10 @@ class DenoiserNet:
 
     # -- heads ----------------------------------------------------------------
 
-    def _log_heads(self, view: DenoisingView, tape: Tape | None):
-        """(node log-probs, mixture log-weights, edge log-probs of shape (K, P, E))."""
+    def _trunk(self, view: DenoisingView, tape: Tape | None):
+        """Everything before the edge heads: (node log-probs, mixture
+        log-weights, (P, 3d) pair features). The last two are None when the
+        view has no previously denoised node."""
         c = self.config
         h, h_g = self.message_pass(view, tape)
         h_t = ad.reshape(ad.rows(h, [view.target_index]), (c.hidden,))
@@ -228,13 +237,21 @@ class DenoiserNet:
                           ad.rows(h, prev_idx)], axis=1)
         mix_logits = ad.tsum(_mlp2(pair, self._get(tape, "mh1"), self._get(tape, "mh1b"),
                                    self._get(tape, "mh2"), self._get(tape, "mh2b")), axis=0)
-        mix_logw = ad.sub(mix_logits, ad.logsumexp(mix_logits))
-        edge_logits = ad.stack([
-            _mlp2(pair, self._get(tape, f"eh{k}_1"), self._get(tape, f"eh{k}_1b"),
-                  self._get(tape, f"eh{k}_2"), self._get(tape, f"eh{k}_2b"))
-            for k in range(c.mixtures)])
-        lse = ad.reshape(ad.logsumexp(edge_logits, axis=2), (c.mixtures, len(prev), 1))
-        return node_logp, mix_logw, ad.sub(edge_logits, lse)
+        return node_logp, ad.sub(mix_logits, ad.logsumexp(mix_logits)), pair
+
+    def _edge_logits(self, pair: Tensor, k: int, tape: Tape | None) -> Tensor:
+        """Mixture component k's edge head: (P, E) logits."""
+        return _mlp2(pair, self._get(tape, f"eh{k}_1"), self._get(tape, f"eh{k}_1b"),
+                     self._get(tape, f"eh{k}_2"), self._get(tape, f"eh{k}_2b"))
+
+    def _log_heads(self, view: DenoisingView, tape: Tape | None):
+        """(node log-probs, mixture log-weights, edge log-probs of shape (K, P, E))."""
+        node_logp, mix_logw, pair = self._trunk(view, tape)
+        if pair is None:
+            return node_logp, None, None
+        edge_logits = ad.stack([self._edge_logits(pair, k, tape)
+                                for k in range(self.config.mixtures)])
+        return node_logp, mix_logw, _log_softmax(edge_logits)
 
     def predict_step(self, view: DenoisingView) -> StepPrediction:
         node_logp, mix_logw, edge_logp = self._log_heads(view, None)
@@ -271,17 +288,46 @@ class DenoiserNet:
         """Sample (node type, {prev node -> edge state}); one mixture component
         is drawn and all edges of the step come from it. Slots named in
         `edge_mask` are forced ABSENT."""
-        pred = self.predict_step(view)
-        node_type = int(rng.choice(len(pred.node_probs), p=pred.node_probs))
-        if not pred.prev_nodes:
+        return StepSampler(self, view).draw(rng, edge_mask)
+
+
+class StepSampler:
+    """One reverse step's distributions, for drawing from repeatedly.
+
+    The node head and the mixture weights are computed up front. A draw uses
+    one mixture component, so each component's edge head is computed the
+    first time that component is drawn, and kept. The draws, and the rng
+    values they consume, are those of sampling from `predict_step`.
+    """
+
+    def __init__(self, net: DenoiserNet, view: DenoisingView):
+        node_logp, mix_logw, self._pair = net._trunk(view, None)
+        self._net = net
+        self.node_probs = np.exp(node_logp.data)
+        self.mixture_weights = None if mix_logw is None else np.exp(mix_logw.data)
+        self.prev_nodes = tuple(view.prev_nodes())
+        self._edge_probs: dict[int, np.ndarray] = {}
+
+    def edge_probs(self, k: int) -> np.ndarray:
+        """Component k's (P, E) edge-state probabilities."""
+        probs = self._edge_probs.get(k)
+        if probs is None:
+            logp = _log_softmax(self._net._edge_logits(self._pair, k, None))
+            probs = self._edge_probs[k] = np.exp(logp.data)
+        return probs
+
+    def draw(self, rng: np.random.Generator, edge_mask=None):
+        """(node type, {prev node -> edge state}), as `DenoiserNet.sample_step`."""
+        node_type = int(rng.choice(len(self.node_probs), p=self.node_probs))
+        if not self.prev_nodes:
             return node_type, {}
         forbidden = set(edge_mask) if edge_mask is not None else set()
-        k = int(rng.choice(len(pred.mixture_weights), p=pred.mixture_weights))
+        k = int(rng.choice(len(self.mixture_weights), p=self.mixture_weights))
+        probs = self.edge_probs(k)
         assignment = {}
-        for j, v in enumerate(pred.prev_nodes):
+        for j, v in enumerate(self.prev_nodes):
             if v in forbidden:
                 assignment[v] = ABSENT
             else:
-                assignment[v] = int(rng.choice(self.config.num_edge_types,
-                                               p=pred.edge_probs[k, j]))
+                assignment[v] = int(rng.choice(probs.shape[1], p=probs[j]))
         return node_type, assignment

@@ -21,6 +21,8 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0, got {self.count}")
         if self.n is None and not self.sizes:
             raise ValueError("need a fixed n or a size pool")
         if self.n is not None and self.n < 1:

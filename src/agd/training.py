@@ -97,9 +97,17 @@ def _retained_candidates(weights: dict[int, float], sampled: int, top_k: int):
 
 
 def denoiser_loss(graph: LabeledGraph, trajectory: DiffusionTrajectory,
-                  timesteps, denoiser: DenoiserNet, top_k: int = 1, tape=None):
+                  timesteps, denoiser: DenoiserNet, top_k: int = 1, tape=None,
+                  memo: dict | None = None):
     """Negative soft-label log-likelihood over the sampled timesteps, scaled
-    by n/T. Returns a Tensor when a tape is given, else a float."""
+    by n/T. Returns a Tensor when a tape is given, else a float.
+
+    `memo` maps a `DenoisingView` to its step log-likelihood and is read and
+    filled here. A view fixes the step's labels only within one graph, and
+    the memo holds untaped values, so it must be kept per (graph, denoiser)
+    and cannot be combined with a tape."""
+    if memo is not None and tape is not None:
+        raise ValueError("a step memo holds untaped values; it cannot be used with a tape")
     timesteps = sorted(set(int(t) for t in timesteps))
     if not timesteps:
         raise ValueError("empty timestep set")
@@ -116,8 +124,12 @@ def denoiser_loss(graph: LabeledGraph, trajectory: DiffusionTrajectory,
             else:
                 state = absorb_node(trajectory.states[t - 1], cand)
             view = denoising_view(state, cand)
-            node_type, observed = observed_step(graph, state, cand)
-            ll = denoiser.step_log_likelihood(view, node_type, observed, tape)
+            ll = memo.get(view) if memo is not None else None
+            if ll is None:
+                node_type, observed = observed_step(graph, state, cand)
+                ll = denoiser.step_log_likelihood(view, node_type, observed, tape)
+                if memo is not None:
+                    memo[view] = ll
             term = ll * w
             total = term if total is None else total + term
     scaled = total * (-float(n) / len(timesteps))

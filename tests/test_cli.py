@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -429,3 +430,44 @@ class TestAblateBaselineCheckpoint:
                     "--count", 6, "--seed", 4, "--out", out]) == 0
         report = json.loads(out.read_text())
         assert report["baseline_checkpoint"] == report["learned"]
+
+
+class TestBadCounts:
+    def test_generate_rejects_a_negative_count(self, tmp_path, capsys, tiny_checkpoint):
+        out = tmp_path / "gen.jsonl"
+        assert run(["generate", "--checkpoint", tiny_checkpoint, "--count", -3,
+                    "--n", 4, "--out", out]) == 1
+        assert "count" in _one_error_line(capsys)
+        assert not out.exists()
+
+    def test_ablate_rejects_a_zero_count_before_any_work(self, tmp_path, capsys,
+                                                         tiny_checkpoint):
+        corpus = tmp_path / "c.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 4, "--seed", 2,
+             "--out", corpus])
+        out = tmp_path / "ablate.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["ablate-ordering", "--checkpoint", tiny_checkpoint,
+                        "--corpus", corpus, "--count", 0, "--out", out]) == 1
+        assert "--count" in _one_error_line(capsys)
+        assert not out.exists()
+
+
+class TestBadValFraction:
+    @pytest.mark.parametrize("value", [7, -1, 0, 1])
+    def test_one_error_line_before_the_checkpoint_dir(self, tmp_path, capsys, value):
+        corpus = tmp_path / "corpus.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 6, "--seed", 3,
+             "--out", corpus])
+        config = _write_config(tmp_path, corpus, train={"val_fraction": value})
+        assert run(["train", "--config", config]) == 1
+        assert "'val_fraction' in [train]" in _one_error_line(capsys)
+        assert not (tmp_path / "ckpts").exists()
+
+    def test_a_fraction_inside_the_interval_trains(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 6, "--seed", 3,
+             "--out", corpus])
+        config = _write_config(tmp_path, corpus, train={"val_fraction": 0.5})
+        assert run(["train", "--config", config]) == 0

@@ -6,7 +6,7 @@ import pytest
 
 from agd import autodiff as ad
 from agd.autodiff import Tape, Tensor, grad_check, gru_cell
-from agd.denoiser import DenoiserConfig, DenoiserNet, _mlp2
+from agd.denoiser import DenoiserConfig, DenoiserNet, StepSampler, _mlp2
 from agd.graphs import (ABSENT, MASK, DenoisingView, absorb_node, denoising_view,
                         forward_trajectory, initial_state, new_graph, permute)
 from agd.training import denoiser_loss
@@ -509,3 +509,91 @@ def test_config_rejects_bad_values(field, value):
     kwargs = {"num_node_types": 1, "num_edge_types": 2, field: value}
     with pytest.raises(ValueError, match=f"^{field} "):
         DenoiserConfig(**kwargs)
+
+
+def reference_sample_step(net, view, rng, edge_mask=None):
+    """The sampler that evaluated all K edge heads through `predict_step`
+    and then used the one component it drew; the reference for drawn-
+    component sampling."""
+    pred = net.predict_step(view)
+    node_type = int(rng.choice(len(pred.node_probs), p=pred.node_probs))
+    if not pred.prev_nodes:
+        return node_type, {}
+    forbidden = set(edge_mask) if edge_mask is not None else set()
+    k = int(rng.choice(len(pred.mixture_weights), p=pred.mixture_weights))
+    assignment = {}
+    for j, v in enumerate(pred.prev_nodes):
+        if v in forbidden:
+            assignment[v] = ABSENT
+        else:
+            assignment[v] = int(rng.choice(net.config.num_edge_types,
+                                           p=pred.edge_probs[k, j]))
+    return node_type, assignment
+
+
+def count_edge_heads(monkeypatch):
+    """Patch DenoiserNet._edge_logits to count its calls per component."""
+    calls = []
+    original = DenoiserNet._edge_logits
+
+    def counted(self, pair, k, tape):
+        calls.append(k)
+        return original(self, pair, k, tape)
+
+    monkeypatch.setattr(DenoiserNet, "_edge_logits", counted)
+    return calls
+
+
+SAMPLER_VIEWS = {"prev3": lambda: view_with_prev(3, seed=43)[1],
+                 "single": single_node_view, "hub": hub_view}
+
+
+class TestDrawnComponentSampling:
+    """`sample_step` evaluates only the drawn component's edge head; its draws
+    and its rng stream must equal the all-components reference exactly."""
+
+    @pytest.mark.parametrize("view_name", sorted(SAMPLER_VIEWS))
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("aggregator", ["gat", "gru-gate"])
+    def test_draws_equal_the_reference(self, aggregator, masked, view_name):
+        net = tiny_denoiser(aggregator=aggregator, seed=41, mixtures=5)
+        view = SAMPLER_VIEWS[view_name]()
+        edge_mask = set(view.prev_nodes()[::2]) if masked else None
+        for seed in range(60):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = net.sample_step(view, rng, edge_mask=edge_mask)
+            assert got == reference_sample_step(net, view, ref_rng, edge_mask)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("aggregator", ["gat", "gru-gate"])
+    def test_component_probabilities_equal_predict_step(self, aggregator):
+        net = tiny_denoiser(aggregator=aggregator, seed=45, mixtures=4)
+        view = hub_view()
+        pred = net.predict_step(view)
+        sampler = StepSampler(net, view)
+        assert np.array_equal(sampler.node_probs, pred.node_probs)
+        assert np.array_equal(sampler.mixture_weights, pred.mixture_weights)
+        assert sampler.prev_nodes == pred.prev_nodes
+        for k in range(4):
+            assert np.array_equal(sampler.edge_probs(k), pred.edge_probs[k])
+
+    def test_sample_step_evaluates_one_edge_head(self, monkeypatch):
+        net = tiny_denoiser(seed=47, mixtures=6)
+        calls = count_edge_heads(monkeypatch)
+        net.sample_step(hub_view(), np.random.default_rng(0))
+        assert len(calls) == 1
+        net.sample_step(single_node_view(), np.random.default_rng(0))
+        assert len(calls) == 1
+
+    def test_repeated_draws_equal_repeated_sample_steps(self, monkeypatch):
+        net = tiny_denoiser(seed=49, mixtures=6)
+        view = hub_view()
+        ref_rng = np.random.default_rng(3)
+        want = [reference_sample_step(net, view, ref_rng) for _ in range(80)]
+        calls = count_edge_heads(monkeypatch)
+        sampler = StepSampler(net, view)
+        rng = np.random.default_rng(3)
+        assert [sampler.draw(rng) for _ in range(80)] == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # each drawn component's head runs once, however often it is drawn
+        assert len(calls) == len(set(calls)) > 1

@@ -237,3 +237,9 @@ class TestModelBundleRoundTrip:
         cfg = GenerationConfig(count=3, n=4, seed=8)
         assert generate_batch(bundle.denoiser, cfg) == \
             generate_batch(loaded.denoiser, cfg)
+
+
+@pytest.mark.parametrize("count", [-1, -3])
+def test_config_rejects_a_negative_count(count):
+    with pytest.raises(ValueError, match="^count "):
+        GenerationConfig(count=count, n=4)

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from agd.autodiff import Tape
 from agd.denoiser import DenoiserConfig, DenoiserNet
-from agd.graphs import new_graph
+from agd.graphs import denoising_view, forward_trajectory, new_graph
 from agd.likelihood import (NllEstimate, exact_marginal, expected_nll,
                             is_marginal_likelihood, ordering_kl_diagnostic,
                             trajectory_nll)
 from agd.model import ModelBundle
 from agd.ordering import OrderingConfig, OrderingNet
+from agd.training import denoiser_loss
 
 
 def tiny_model(num_node_types=1, num_edge_types=2, seed=0) -> ModelBundle:
@@ -169,3 +171,133 @@ class TestOrderingKlDiagnostic:
         a = ordering_kl_diagnostic(model, g, 16, np.random.default_rng(9))
         b = ordering_kl_diagnostic(model, g, 16, np.random.default_rng(9))
         assert a == b
+
+
+def count_step_log_likelihoods(monkeypatch):
+    calls = []
+    original = DenoiserNet.step_log_likelihood
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DenoiserNet, "step_log_likelihood", counted)
+    return calls
+
+
+def reference_exact_marginal(model, graph):
+    """exact_marginal's sum over all orderings, each NLL computed afresh."""
+    log_terms = [-trajectory_nll(model, graph, sigma)
+                 for sigma in itertools.permutations(range(graph.n))]
+    m = max(log_terms)
+    return -(m + math.log(sum(math.exp(v - m) for v in log_terms)))
+
+
+def reference_ordering_kl_diagnostic(model, graph, samples_per_step, rng):
+    """The diagnostic with one `sample_step` call, and so one full denoiser
+    forward, per sample."""
+    trajectory = model.ordering.sample_ordering(graph, rng)
+    per_step = []
+    for t in range(1, graph.n + 1):
+        state = trajectory.states[t]
+        reference = trajectory.ordering[t - 1]
+        candidates = sorted(state.masked_nodes())
+        unmasked = state.unmasked_nodes()
+        patterns = {c: tuple(graph.edge_type(c, j) for j in unmasked)
+                    for c in candidates}
+        view = denoising_view(state, reference)
+        counts = {c: 0.0 for c in candidates}
+        for _ in range(samples_per_step):
+            _, assignment = model.denoiser.sample_step(view, rng)
+            sampled = tuple(assignment[j] for j in unmasked)
+            matches = [c for c in candidates if patterns[c] == sampled]
+            for c in matches:
+                counts[c] += 1.0 / len(matches)
+        p_ref = (counts[reference] + 1.0) / (samples_per_step + len(candidates))
+        per_step.append(-math.log(p_ref))
+    return per_step, float(sum(per_step))
+
+
+def typed_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(i, j, int(rng.integers(1, 3))) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.5]
+    return new_graph(rng.integers(0, 2, size=n).tolist(), edges, 2, 3)
+
+
+class TestStepMemo:
+    """The likelihood estimators compute each distinct denoising view once."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_exact_marginal_equals_unmemoized_sum(self, n):
+        model = tiny_model(num_node_types=2, num_edge_types=3, seed=50 + n)
+        g = typed_graph(n, seed=n)
+        assert exact_marginal(model, g).nats == reference_exact_marginal(model, g)
+
+    @pytest.mark.parametrize("n, views", [(4, 32), (5, 80)])
+    def test_exact_marginal_runs_one_forward_per_distinct_view(self, monkeypatch,
+                                                               n, views):
+        model = tiny_model(num_node_types=2, num_edge_types=3, seed=61)
+        g = typed_graph(n, seed=7)
+        calls = count_step_log_likelihoods(monkeypatch)
+        exact_marginal(model, g)
+        assert len(calls) == views == n * 2 ** (n - 1)
+        assert len(set(calls)) == views
+
+    def test_trajectory_nll_through_a_shared_memo_is_unchanged(self):
+        model = tiny_model(num_node_types=2, num_edge_types=3, seed=63)
+        g = typed_graph(4, seed=9)
+        memo = {}
+        for sigma in itertools.permutations(range(g.n)):
+            assert trajectory_nll(model, g, sigma, memo) == trajectory_nll(model, g, sigma)
+
+    def test_sampled_estimators_reuse_views(self, monkeypatch):
+        model = tiny_model(num_node_types=2, num_edge_types=3, seed=65)
+        g = typed_graph(4, seed=11)
+        plain = expected_nll(model, g, 30, np.random.default_rng(4))
+        calls = count_step_log_likelihoods(monkeypatch)
+        assert expected_nll(model, g, 30, np.random.default_rng(4)) == plain
+        assert len(calls) == len(set(calls)) <= 32
+
+    def test_memo_refuses_a_tape(self):
+        model = tiny_model(seed=67)
+        g = new_graph([0, 0], [(0, 1, 1)], 1, 2)
+        tape = Tape()
+        for p in model.denoiser.params.values():
+            tape.register(p)
+        with pytest.raises(ValueError, match="memo"):
+            denoiser_loss(g, forward_trajectory(g, [0, 1]), [1, 2], model.denoiser,
+                          tape=tape, memo={})
+
+
+class TestOrderingKlDiagnosticSampler:
+    """The diagnostic draws from one sampler per timestep; its values and rng
+    stream must equal one `sample_step` call per sample."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_one_sample_step_per_sample(self, seed):
+        rng = np.random.default_rng(70 + seed)
+        model = ModelBundle.init(
+            OrderingConfig(num_node_types=2, layers=1, heads=2, hidden=3,
+                           embed_dim=4, pe_dim=4),
+            DenoiserConfig(num_node_types=2, num_edge_types=3, layers=1, hidden=5,
+                           mlp_hidden=6, mixtures=5), rng)
+        g = typed_graph(5, seed=seed)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ordering_kl_diagnostic(model, g, 40, a)
+        assert got == reference_ordering_kl_diagnostic(model, g, 40, b)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_builds_one_sampler_per_timestep(self, monkeypatch):
+        model = tiny_model(num_node_types=2, num_edge_types=3, seed=73)
+        g = typed_graph(4, seed=13)
+        trunks = []
+        original = DenoiserNet._trunk
+
+        def counted(self, view, tape):
+            trunks.append(view)
+            return original(self, view, tape)
+
+        monkeypatch.setattr(DenoiserNet, "_trunk", counted)
+        ordering_kl_diagnostic(model, g, 25, np.random.default_rng(5))
+        assert len(trunks) == g.n
