@@ -175,21 +175,28 @@ class DenoiserNet:
         np.fill_diagonal(edge_tokens, c.self_edge_token)
         node_tokens = [c.mask_node_token if t == MASK else t for t in view.node_tokens]
         h = ad.rows(self._get(tape, "node_embed"), node_tokens)
-        e = ad.rows(self._get(tape, "edge_embed"), edge_tokens.reshape(-1))  # (m*m, d)
 
         if c.aggregator == "gat":
             attend = neighbours | np.eye(m, dtype=bool)
+            tokens = edge_tokens.reshape(-1)
+            edge_table = self._get(tape, "edge_embed")
             for l in range(c.layers):
                 wh = ad.add(ad.matmul(h, self._get(tape, f"l{l}_w")),
                             self._get(tape, f"l{l}_b"))
-                s = ad.reshape(ad.matmul(wh, self._get(tape, f"l{l}_asrc")), (m, 1))
-                r = ad.reshape(ad.matmul(wh, self._get(tape, f"l{l}_adst")), (1, m))
+                s = ad.reshape(ad.einsum("nd,d->n", wh, self._get(tape, f"l{l}_asrc")),
+                               (m, 1))
+                r = ad.reshape(ad.einsum("nd,d->n", wh, self._get(tape, f"l{l}_adst")),
+                               (1, m))
                 logits = ad.add(s, r)
                 msgs = wh                              # broadcasts as (1, m, d)
                 if c.edge_in_attention:
-                    e_att = ad.matmul(e, self._get(tape, f"l{l}_aedge"))
+                    # per-token tables, gathered: a pair's terms depend on its
+                    # token alone, never on where its row sits in a product
+                    e_att = ad.take(ad.matmul(edge_table, self._get(tape, f"l{l}_aedge")),
+                                    tokens)
                     logits = ad.add(logits, ad.reshape(e_att, (m, m)))
-                    e_msg = ad.matmul(e, self._get(tape, f"l{l}_p"))
+                    e_msg = ad.rows(ad.matmul(edge_table, self._get(tape, f"l{l}_p")),
+                                    tokens)
                     msgs = ad.add(ad.reshape(e_msg, (m, m, c.hidden)), wh)
                 alpha = ad.masked_softmax(ad.leaky_relu(logits, slope=c.leaky_slope),
                                           attend, axis=1)
@@ -199,6 +206,7 @@ class DenoiserNet:
             src = np.repeat(np.arange(m), m)            # a of the pair (a, b)
             dst = np.tile(np.arange(m), m)              # b of the pair (a, b)
             keep = neighbours.reshape(m * m, 1).astype(np.float64)
+            e = ad.rows(self._get(tape, "edge_embed"), edge_tokens.reshape(-1))  # (m*m, d)
             for l in range(c.layers):
                 inp = ad.concat([ad.rows(h, src), ad.rows(h, dst), e], axis=1)
                 msg = _mlp2(inp, self._get(tape, f"l{l}_f1"), self._get(tape, f"l{l}_f1b"),
@@ -240,9 +248,13 @@ class DenoiserNet:
         return node_logp, ad.sub(mix_logits, ad.logsumexp(mix_logits)), pair
 
     def _edge_logits(self, pair: Tensor, k: int, tape: Tape | None) -> Tensor:
-        """Mixture component k's edge head: (P, E) logits."""
-        return _mlp2(pair, self._get(tape, f"eh{k}_1"), self._get(tape, f"eh{k}_1b"),
-                     self._get(tape, f"eh{k}_2"), self._get(tape, f"eh{k}_2b"))
+        """Mixture component k's edge head: (P, E) logits. The narrow output
+        layer is an einsum: BLAS gives its rows bits that depend on their
+        position."""
+        hidden = ad.relu(ad.add(ad.matmul(pair, self._get(tape, f"eh{k}_1")),
+                                self._get(tape, f"eh{k}_1b")))
+        return ad.add(ad.einsum("pi,ie->pe", hidden, self._get(tape, f"eh{k}_2")),
+                      self._get(tape, f"eh{k}_2b"))
 
     def _log_heads(self, view: DenoisingView, tape: Tape | None):
         """(node log-probs, mixture log-weights, edge log-probs of shape (K, P, E))."""

@@ -139,7 +139,9 @@ class OrderingNet:
             msgs = ad.mul(ad.reshape(alpha, (n, n, c.heads, 1)), wh)   # (i, j, head, k)
             merged = ad.reshape(ad.tsum(msgs, axis=1), (n, c.model_dim))
             h = ad.add(ad.relu(merged), h)   # residual connection
-        return ad.matmul(h, self._get(tape, "w_out"))
+        # an einsum, not a BLAS matrix-vector product, whose bits would
+        # depend on each node's row position
+        return ad.einsum("nd,d->n", h, self._get(tape, "w_out"))
 
     def _step_log_probs(self, scores: Tensor, unabsorbed: list[int]) -> Tensor:
         sel = ad.take(scores, unabsorbed)
