@@ -8,6 +8,7 @@ whose inputs are a permutation of another's produces bit-identical values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -255,17 +256,20 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of 1-D or 2-D operands, or of a stack of matrices
+    (B, ..., m, k) with one (k, n) matrix. numpy multiplies a stack slice by
+    slice, so each slice of the result has the bits of its own product."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ShapeError("matmul requires 1-D or 2-D operands")
+    an, bn = a.data.ndim, b.data.ndim
+    if an == 0 or bn not in (1, 2) or (an > 2 and bn != 2):
+        raise ShapeError("matmul requires 1-D or 2-D operands, or a stack and a matrix")
     try:
         out = a.data @ b.data
     except ValueError as exc:
         raise ShapeError(str(exc)) from None
-    an, bn = a.data.ndim, b.data.ndim
 
     def grad_a(g):
-        if an == 2 and bn == 2:
+        if an >= 2 and bn == 2:
             return g @ b.data.T
         if an == 1 and bn == 2:
             return b.data @ g
@@ -274,6 +278,8 @@ def matmul(a, b) -> Tensor:
         return g * b.data  # 1-D @ 1-D
 
     def grad_b(g):
+        if an > 2:
+            return a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         if an == 2 and bn == 2:
             return a.data.T @ g
         if an == 1 and bn == 2:
@@ -306,15 +312,15 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _result(out, parts, [make_vjp(i) for i in range(len(parts))])
 
 
-def stack(parts) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
+def stack(parts, axis: int = 0) -> Tensor:
+    """Stack equal-shape tensors along a new axis (the leading one by default)."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("stack of zero tensors")
-    out = np.stack([p.data for p in parts], axis=0)
+    out = np.stack([p.data for p in parts], axis=axis)
 
     def make_vjp(i):
-        return lambda g: g[i]
+        return lambda g: np.take(g, i, axis=axis)
 
     return _result(out, parts, [make_vjp(i) for i in range(len(parts))])
 
@@ -326,26 +332,29 @@ def reshape(a, shape) -> Tensor:
 
 
 def tile_row(v, k: int) -> Tensor:
-    """Repeat a 1-D tensor as k identical rows."""
+    """Repeat each last-axis vector k times: (..., d) becomes (..., k, d)."""
     v = as_tensor(v)
-    if v.data.ndim != 1:
-        raise ShapeError("tile_row expects a 1-D tensor")
-    out = np.tile(v.data, (k, 1))
-    return _result(out, [v], [lambda g: g.sum(axis=0)])
+    if v.data.ndim < 1:
+        raise ShapeError("tile_row expects a tensor of at least one axis")
+    out = np.repeat(np.expand_dims(v.data, -2), k, axis=-2)
+    return _result(out, [v], [lambda g: g.sum(axis=-2)])
 
 
 def rows(a, ids) -> Tensor:
-    """Gather rows of a 2-D tensor; also the embedding lookup."""
+    """Gather rows of a tensor whose leading axes are read as one row axis:
+    `ids` index the rows of `a.reshape(-1, a.shape[-1])`. Also the embedding
+    lookup."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError("rows expects a 2-D tensor")
+    if a.data.ndim < 2:
+        raise ShapeError("rows expects a tensor of at least two axes")
     ids = np.asarray(ids, dtype=int)
-    out = a.data[ids]
+    table = a.data.reshape(-1, a.data.shape[-1])
+    out = table[ids]
 
     def vjp(g):
-        acc = np.zeros_like(a.data)
+        acc = np.zeros_like(table)
         np.add.at(acc, ids, g)
-        return acc
+        return acc.reshape(a.data.shape)
 
     return _result(out, [a], [vjp])
 
@@ -483,11 +492,11 @@ def masked_softmax(a, mask, axis: int = -1) -> Tensor:
     return _result(out, [a], [vjp])
 
 
-def einsum(spec: str, a, b) -> Tensor:
-    """Two-operand Einstein summation with an explicit output, e.g.
-    "nhk,hk->nh". Each index of an operand must appear in the other operand
-    or in the output, and at most once per term."""
-    a, b = as_tensor(a), as_tensor(b)
+@functools.lru_cache(maxsize=1024)
+def _einsum_specs(spec: str, shape_a: tuple, shape_b: tuple) -> tuple[str, str, str]:
+    """Check a two-operand spec against the operand shapes; return the
+    forward spec and the specs of the two operand gradients. Cached: the
+    checks cost several times the einsum itself on small operands."""
     try:
         inputs, out_idx = spec.replace(" ", "").split("->")
         ia, ib = inputs.split(",")
@@ -498,19 +507,26 @@ def einsum(spec: str, a, b) -> Tensor:
             raise ShapeError(f"einsum term {term!r} must be distinct letters")
     if not set(ia) <= set(ib) | set(out_idx) or not set(ib) <= set(ia) | set(out_idx):
         raise ShapeError(f"einsum {spec!r} sums an index over one operand alone")
-    if len(ia) != a.data.ndim or len(ib) != b.data.ndim:
-        raise ShapeError(f"einsum {spec!r} does not match shapes "
-                         f"{a.data.shape} and {b.data.shape}")
-    sizes = dict(zip(ia, a.data.shape))
-    if any(sizes.setdefault(c, n) != n for c, n in zip(ib, b.data.shape)):
-        raise ShapeError(f"einsum {spec!r}: shapes {a.data.shape} and "
-                         f"{b.data.shape} disagree on an index")
+    if len(ia) != len(shape_a) or len(ib) != len(shape_b):
+        raise ShapeError(f"einsum {spec!r} does not match shapes {shape_a} and {shape_b}")
+    sizes = dict(zip(ia, shape_a))
+    if any(sizes.setdefault(c, n) != n for c, n in zip(ib, shape_b)):
+        raise ShapeError(f"einsum {spec!r}: shapes {shape_a} and {shape_b} "
+                         "disagree on an index")
     if not set(out_idx) <= set(sizes):
         raise ShapeError(f"einsum {spec!r} outputs an index no operand has")
-    out = np.einsum(f"{ia},{ib}->{out_idx}", a.data, b.data)
-    return _result(out, [a, b], [
-        lambda g: np.einsum(f"{out_idx},{ib}->{ia}", g, b.data),
-        lambda g: np.einsum(f"{out_idx},{ia}->{ib}", g, a.data),
+    return f"{ia},{ib}->{out_idx}", f"{out_idx},{ib}->{ia}", f"{out_idx},{ia}->{ib}"
+
+
+def einsum(spec: str, a, b) -> Tensor:
+    """Two-operand Einstein summation with an explicit output, e.g.
+    "nhk,hk->nh". Each index of an operand must appear in the other operand
+    or in the output, and at most once per term."""
+    a, b = as_tensor(a), as_tensor(b)
+    forward, spec_a, spec_b = _einsum_specs(spec, a.data.shape, b.data.shape)
+    return _result(np.einsum(forward, a.data, b.data), [a, b], [
+        lambda g: np.einsum(spec_a, g, b.data),
+        lambda g: np.einsum(spec_b, g, a.data),
     ])
 
 

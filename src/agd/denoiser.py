@@ -10,6 +10,9 @@ Two aggregators:
 Edge states seen by the network: real types (1..E-1), MASK for pairs touching
 the target, and a SELF marker for the attention self-loop. Pairs with no edge
 do not exchange one; absence is only an outcome of the edge head.
+
+Every forward runs over a stack of views of one size, and one view is a
+stack of one; each view of a stack gets the bits of its own stack of one.
 """
 
 from __future__ import annotations
@@ -161,54 +164,64 @@ class DenoiserNet:
 
     def message_pass(self, view: DenoisingView, tape: Tape | None = None):
         """L rounds over the view; returns (per-node embeddings, mean pooling).
+        A stack of one view through `_stack_message_pass`."""
+        h, h_g = self._stack_message_pass([view], tape)
+        return ad.reshape(h, h.shape[1:]), ad.reshape(h_g, h_g.shape[1:])
 
-        Each round is one dense masked op over the view's (m, m) pairs: a
+    def _stack_message_pass(self, views, tape: Tape | None):
+        """L rounds over B views of one size m; returns ((B, m, d) per-node
+        embeddings, (B, d) mean pooling).
+
+        Each round is one dense masked op over the views' (m, m) pairs: a
         pair (a, b) exchanges a message only if its edge state is not ABSENT,
         and the result sums over b in sorted order, so the embeddings are
-        equivariant to node relabeling bit for bit.
+        equivariant to node relabeling bit for bit. Products run one view's
+        slice at a time, and every sum and normalization stays within a
+        slice, so each view gets the bits of its own stack of one.
         """
         c = self.config
-        m = view.size
-        states = np.array(view.edge_states, dtype=int).reshape(m, m)
+        B, m = len(views), views[0].size
+        states = np.array([v.edge_states for v in views], dtype=int).reshape(B, m, m)
         neighbours = states != ABSENT                 # the diagonal is ABSENT
         edge_tokens = np.where(states == MASK, c.mask_edge_token, states)
-        np.fill_diagonal(edge_tokens, c.self_edge_token)
-        node_tokens = [c.mask_node_token if t == MASK else t for t in view.node_tokens]
-        h = ad.rows(self._get(tape, "node_embed"), node_tokens)
+        edge_tokens[:, np.arange(m), np.arange(m)] = c.self_edge_token
+        node_tokens = [[c.mask_node_token if t == MASK else t for t in v.node_tokens]
+                       for v in views]
+        h = ad.rows(self._get(tape, "node_embed"), node_tokens)       # (B, m, d)
 
         if c.aggregator == "gat":
             attend = neighbours | np.eye(m, dtype=bool)
-            tokens = edge_tokens.reshape(-1)
             edge_table = self._get(tape, "edge_embed")
             for l in range(c.layers):
                 wh = ad.add(ad.matmul(h, self._get(tape, f"l{l}_w")),
                             self._get(tape, f"l{l}_b"))
-                s = ad.reshape(ad.einsum("nd,d->n", wh, self._get(tape, f"l{l}_asrc")),
-                               (m, 1))
-                r = ad.reshape(ad.einsum("nd,d->n", wh, self._get(tape, f"l{l}_adst")),
-                               (1, m))
+                s = ad.reshape(ad.einsum("bnd,d->bn", wh, self._get(tape, f"l{l}_asrc")),
+                               (B, m, 1))
+                r = ad.reshape(ad.einsum("bnd,d->bn", wh, self._get(tape, f"l{l}_adst")),
+                               (B, 1, m))
                 logits = ad.add(s, r)
-                msgs = wh                              # broadcasts as (1, m, d)
+                msgs = ad.reshape(wh, (B, 1, m, c.hidden))
                 if c.edge_in_attention:
                     # per-token tables, gathered: a pair's terms depend on its
                     # token alone, never on where its row sits in a product
                     e_att = ad.take(ad.matmul(edge_table, self._get(tape, f"l{l}_aedge")),
-                                    tokens)
-                    logits = ad.add(logits, ad.reshape(e_att, (m, m)))
+                                    edge_tokens)
+                    logits = ad.add(logits, e_att)
                     e_msg = ad.rows(ad.matmul(edge_table, self._get(tape, f"l{l}_p")),
-                                    tokens)
-                    msgs = ad.add(ad.reshape(e_msg, (m, m, c.hidden)), wh)
+                                    edge_tokens)
+                    msgs = ad.add(e_msg, msgs)
                 alpha = ad.masked_softmax(ad.leaky_relu(logits, slope=c.leaky_slope),
-                                          attend, axis=1)
-                out = ad.tsum(ad.mul(ad.reshape(alpha, (m, m, 1)), msgs), axis=1)
+                                          attend, axis=2)
+                out = ad.tsum(ad.mul(ad.reshape(alpha, (B, m, m, 1)), msgs), axis=2)
                 h = ad.add(ad.relu(out), h)   # residual connection
         else:
-            src = np.repeat(np.arange(m), m)            # a of the pair (a, b)
-            dst = np.tile(np.arange(m), m)              # b of the pair (a, b)
-            keep = neighbours.reshape(m * m, 1).astype(np.float64)
-            e = ad.rows(self._get(tape, "edge_embed"), edge_tokens.reshape(-1))  # (m*m, d)
+            first = (np.arange(B) * m)[:, None]       # row of each view's node 0
+            src = first + np.repeat(np.arange(m), m)  # a of the pair (a, b)
+            dst = first + np.tile(np.arange(m), m)    # b of the pair (a, b)
+            keep = neighbours.reshape(B, m * m, 1).astype(np.float64)
+            e = ad.rows(self._get(tape, "edge_embed"), edge_tokens.reshape(B, m * m))
             for l in range(c.layers):
-                inp = ad.concat([ad.rows(h, src), ad.rows(h, dst), e], axis=1)
+                inp = ad.concat([ad.rows(h, src), ad.rows(h, dst), e], axis=2)
                 msg = _mlp2(inp, self._get(tape, f"l{l}_f1"), self._get(tape, f"l{l}_f1b"),
                             self._get(tape, f"l{l}_f2"), self._get(tape, f"l{l}_f2b"))
                 gate = ad.sigmoid(_mlp2(inp, self._get(tape, f"l{l}_g1"),
@@ -216,54 +229,64 @@ class DenoiserNet:
                                         self._get(tape, f"l{l}_g2"),
                                         self._get(tape, f"l{l}_g2b")))
                 gated = ad.mul(ad.mul(gate, keep), msg)   # exact zero off the edges
-                agg = ad.tsum(ad.reshape(gated, (m, m, c.hidden)), axis=1)
+                agg = ad.tsum(ad.reshape(gated, (B, m, m, c.hidden)), axis=2)
                 h = gru_cell(h, agg, {gp: self._get(tape, f"l{l}_{gp}")
                                       for gp in ("wz", "uz", "bz", "wr", "ur", "br",
                                                  "wc", "uc", "bc")})
-        return h, ad.tmean(h, axis=0)
+        return h, ad.tmean(h, axis=1)
 
     # -- heads ----------------------------------------------------------------
 
     def _trunk(self, view: DenoisingView, tape: Tape | None):
-        """Everything before the edge heads: (node log-probs, mixture
-        log-weights, (P, 3d) pair features). The last two are None when the
-        view has no previously denoised node."""
-        c = self.config
-        h, h_g = self.message_pass(view, tape)
-        h_t = ad.reshape(ad.rows(h, [view.target_index]), (c.hidden,))
-        node_logits = _mlp2(ad.reshape(ad.concat([h_g, h_t]), (1, 2 * c.hidden)),
-                            self._get(tape, "nh1"), self._get(tape, "nh1b"),
-                            self._get(tape, "nh2"), self._get(tape, "nh2b"))
-        node_logits = ad.reshape(node_logits, (c.num_node_types,))
-        node_logp = ad.sub(node_logits, ad.logsumexp(node_logits))
+        """`_stack_trunk` of one view."""
+        return self._stack_trunk([view], tape)
 
-        prev = view.prev_nodes()
-        if not prev:
+    def _stack_trunk(self, views, tape: Tape | None):
+        """Everything before the edge heads, over B views of one size: (B, T)
+        node log-probs, (B, K) mixture log-weights and (B, P, 3d) pair
+        features. The last two are None when the views have no previously
+        denoised node."""
+        c = self.config
+        B, m = len(views), views[0].size
+        first = np.arange(B) * m
+        h, h_g = self._stack_message_pass(views, tape)
+        h_t = ad.rows(h, first + [v.target_index for v in views])          # (B, d)
+        node_in = ad.reshape(ad.concat([h_g, h_t], axis=1), (B, 1, 2 * c.hidden))
+        node_logits = _mlp2(node_in, self._get(tape, "nh1"), self._get(tape, "nh1b"),
+                            self._get(tape, "nh2"), self._get(tape, "nh2b"))
+        node_logp = _log_softmax(ad.reshape(node_logits, (B, c.num_node_types)))
+        if m == 1:
             return node_logp, None, None
-        prev_idx = [view.nodes.index(v) for v in prev]
-        pair = ad.concat([ad.tile_row(h_g, len(prev)), ad.tile_row(h_t, len(prev)),
-                          ad.rows(h, prev_idx)], axis=1)
+        prev_idx = [[v.nodes.index(u) for u in v.prev_nodes()] for v in views]
+        pair = ad.concat([ad.tile_row(h_g, m - 1), ad.tile_row(h_t, m - 1),
+                          ad.rows(h, first[:, None] + prev_idx)], axis=2)
         mix_logits = ad.tsum(_mlp2(pair, self._get(tape, "mh1"), self._get(tape, "mh1b"),
-                                   self._get(tape, "mh2"), self._get(tape, "mh2b")), axis=0)
-        return node_logp, ad.sub(mix_logits, ad.logsumexp(mix_logits)), pair
+                                   self._get(tape, "mh2"), self._get(tape, "mh2b")), axis=1)
+        return node_logp, _log_softmax(mix_logits), pair
 
     def _edge_logits(self, pair: Tensor, k: int, tape: Tape | None) -> Tensor:
-        """Mixture component k's edge head: (P, E) logits. The narrow output
-        layer is an einsum: BLAS gives its rows bits that depend on their
-        position."""
+        """Mixture component k's edge head over (B, P, 3d) pair features:
+        (B, P, E) logits. The narrow output layer is an einsum: BLAS gives
+        its rows bits that depend on their position."""
         hidden = ad.relu(ad.add(ad.matmul(pair, self._get(tape, f"eh{k}_1")),
                                 self._get(tape, f"eh{k}_1b")))
-        return ad.add(ad.einsum("pi,ie->pe", hidden, self._get(tape, f"eh{k}_2")),
+        return ad.add(ad.einsum("bpi,ie->bpe", hidden, self._get(tape, f"eh{k}_2")),
                       self._get(tape, f"eh{k}_2b"))
 
-    def _log_heads(self, view: DenoisingView, tape: Tape | None):
-        """(node log-probs, mixture log-weights, edge log-probs of shape (K, P, E))."""
-        node_logp, mix_logw, pair = self._trunk(view, tape)
+    def _stack_log_heads(self, views, tape: Tape | None):
+        """(node log-probs (B, T), mixture log-weights (B, K), edge log-probs
+        (B, K, P, E)) over B views of one size."""
+        node_logp, mix_logw, pair = self._stack_trunk(views, tape)
         if pair is None:
             return node_logp, None, None
         edge_logits = ad.stack([self._edge_logits(pair, k, tape)
-                                for k in range(self.config.mixtures)])
+                                for k in range(self.config.mixtures)], axis=1)
         return node_logp, mix_logw, _log_softmax(edge_logits)
+
+    def _log_heads(self, view: DenoisingView, tape: Tape | None):
+        """(node log-probs, mixture log-weights, edge log-probs of shape (K, P, E))."""
+        return tuple(None if x is None else ad.reshape(x, x.shape[1:])
+                     for x in self._stack_log_heads([view], tape))
 
     def predict_step(self, view: DenoisingView) -> StepPrediction:
         node_logp, mix_logw, edge_logp = self._log_heads(view, None)
@@ -273,27 +296,56 @@ class DenoiserNet:
         return StepPrediction(np.exp(node_logp.data), np.exp(mix_logw.data),
                               np.exp(edge_logp.data), tuple(view.prev_nodes()))
 
-    def step_log_likelihood(self, view: DenoisingView, node_type: int,
-                            observed_edges: dict[int, int],
-                            tape: Tape | None = None) -> Tensor:
-        """log p(node type) + log sum_k alpha_k prod_j p_k(e_j), stabilized."""
+    def _check_labels(self, view: DenoisingView, node_type: int,
+                      observed_edges: dict[int, int]) -> None:
         c = self.config
-        prev = view.prev_nodes()
-        if set(observed_edges) != set(prev):
+        if set(observed_edges) != set(view.prev_nodes()):
             raise GraphError("observed edges must cover exactly the previously denoised nodes")
         for e in observed_edges.values():
             if e == MASK or not 0 <= e < c.num_edge_types:
                 raise GraphError(f"invalid observed edge state: {e}")
         if not 0 <= node_type < c.num_node_types:
             raise GraphError(f"invalid observed node type: {node_type}")
-        node_logp, mix_logw, edge_logp = self._log_heads(view, tape)
-        ll = ad.pick(node_logp, node_type)
-        if not prev:
+
+    def _stack_log_likelihood(self, views, node_types, observed_edges,
+                              tape: Tape | None) -> Tensor:
+        """The (B,) step log-likelihoods of B views of one size."""
+        c = self.config
+        for view, node_type, observed in zip(views, node_types, observed_edges):
+            self._check_labels(view, node_type, observed)
+        node_logp, mix_logw, edge_logp = self._stack_log_heads(views, tape)
+        B = len(views)
+        ll = ad.take(ad.reshape(node_logp, (B * c.num_node_types,)),
+                     np.arange(B) * c.num_node_types + node_types)
+        if mix_logw is None:
             return ll
-        observed = np.zeros((len(prev), c.num_edge_types))
-        observed[np.arange(len(prev)), [observed_edges[v] for v in prev]] = 1.0
-        comps = ad.tsum(ad.tsum(ad.mul(edge_logp, observed), axis=2), axis=1)   # (K,)
-        return ad.add(ll, ad.logsumexp(ad.add(mix_logw, comps)))
+        onehot = np.zeros((B, 1, views[0].size - 1, c.num_edge_types))
+        for b, (view, observed) in enumerate(zip(views, observed_edges)):
+            onehot[b, 0, np.arange(onehot.shape[2]),
+                   [observed[v] for v in view.prev_nodes()]] = 1.0
+        comps = ad.tsum(ad.tsum(ad.mul(edge_logp, onehot), axis=3), axis=2)   # (B, K)
+        return ad.add(ll, ad.logsumexp(ad.add(mix_logw, comps), axis=1))
+
+    def step_log_likelihood(self, view: DenoisingView, node_type: int,
+                            observed_edges: dict[int, int],
+                            tape: Tape | None = None) -> Tensor:
+        """log p(node type) + log sum_k alpha_k prod_j p_k(e_j), stabilized."""
+        return ad.reshape(self._stack_log_likelihood([view], [node_type],
+                                                     [observed_edges], tape), ())
+
+    def step_log_likelihoods(self, views, node_types, observed_edges) -> list[Tensor]:
+        """Untaped `step_log_likelihood` of each of a list of views of one
+        size, computed in `stack_chunks`; each value has the bits of its own
+        call."""
+        out: list[Tensor] = []
+        lo = 0
+        for chunk in stack_chunks(views):
+            hi = lo + len(chunk)
+            ll = self._stack_log_likelihood(chunk, node_types[lo:hi],
+                                            observed_edges[lo:hi], None)
+            out.extend(Tensor(v) for v in ll.data)
+            lo = hi
+        return out
 
     def sample_step(self, view: DenoisingView, rng: np.random.Generator,
                     edge_mask=None):
@@ -301,6 +353,23 @@ class DenoiserNet:
         is drawn and all edges of the step come from it. Slots named in
         `edge_mask` are forced ABSENT."""
         return StepSampler(self, view).draw(rng, edge_mask)
+
+
+# Most (view, node, node) pairs, B * m^2, in one stacked forward. A GAT
+# round holds a few KB of transient arrays per pair at the default widths:
+# one infer-paper benchmark operation (2-core x86 host, one BLAS thread)
+# peaked at 58.9 MB one view at a time, 60.2 MB at this budget and 62.2 MB
+# at 1,024.
+STACK_PAIR_BUDGET = 512
+
+
+def stack_chunks(views) -> list:
+    """Split views of one size, in order, into stacks of at most
+    STACK_PAIR_BUDGET pairs; a view larger than the budget is a stack of one."""
+    if len({v.size for v in views}) > 1:
+        raise ValueError("a stack holds views of one size")
+    step = max(1, STACK_PAIR_BUDGET // views[0].size ** 2) if views else 1
+    return [views[lo:lo + step] for lo in range(0, len(views), step)]
 
 
 class StepSampler:
@@ -312,20 +381,33 @@ class StepSampler:
     values they consume, are those of sampling from `predict_step`.
     """
 
-    def __init__(self, net: DenoiserNet, view: DenoisingView):
-        node_logp, mix_logw, self._pair = net._trunk(view, None)
+    def __init__(self, net: DenoiserNet, view: DenoisingView, trunk=None, b: int = 0):
+        """`trunk` is a `_stack_trunk` over a stack whose slice b is `view`;
+        without one, the view's own trunk is computed."""
+        node_logp, mix_logw, pair = net._trunk(view, None) if trunk is None else trunk
         self._net = net
-        self.node_probs = np.exp(node_logp.data)
-        self.mixture_weights = None if mix_logw is None else np.exp(mix_logw.data)
+        self.node_probs = np.exp(node_logp.data[b])
+        self.mixture_weights = None if mix_logw is None else np.exp(mix_logw.data[b])
+        self._pair = None if pair is None else Tensor(pair.data[b:b + 1])
         self.prev_nodes = tuple(view.prev_nodes())
         self._edge_probs: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def stack(cls, net: DenoiserNet, views) -> list["StepSampler"]:
+        """One sampler per view of one size, from stacked trunks over
+        `stack_chunks`; each equals `StepSampler(net, view)` bit for bit."""
+        samplers = []
+        for chunk in stack_chunks(views):
+            trunk = net._stack_trunk(chunk, None)
+            samplers.extend(cls(net, view, trunk, b) for b, view in enumerate(chunk))
+        return samplers
 
     def edge_probs(self, k: int) -> np.ndarray:
         """Component k's (P, E) edge-state probabilities."""
         probs = self._edge_probs.get(k)
         if probs is None:
             logp = _log_softmax(self._net._edge_logits(self._pair, k, None))
-            probs = self._edge_probs[k] = np.exp(logp.data)
+            probs = self._edge_probs[k] = np.exp(logp.data[0])
         return probs
 
     def draw(self, rng: np.random.Generator, edge_mask=None):

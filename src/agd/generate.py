@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import DenoiserNet
+from .denoiser import DenoiserNet, StepSampler
 from .graphs import (ABSENT, GraphError, LabeledGraph, apply_prediction,
                      denoising_view, empty_graph, fully_masked_state)
 
@@ -86,23 +86,37 @@ def enforce_degree_cap(partial: LabeledGraph, proposed: dict[int, int],
 def generate(denoiser: DenoiserNet, n: int, rng: np.random.Generator,
              max_degree: int | None = None) -> GenerationTrace:
     """Sample one graph of n nodes by denoising n masked slots in order."""
-    if n < 1:
+    return _generate_lockstep(denoiser, [n], [rng], max_degree)[0]
+
+
+def _generate_lockstep(denoiser: DenoiserNet, sizes, rngs,
+                       max_degree: int | None) -> list[GenerationTrace]:
+    """Generate graph i of sizes[i] from rngs[i], all graphs step by step
+    together. At step s every unfinished graph's view has s + 1 nodes, so
+    the views of a step are stacked. Each graph draws from its own rng in
+    the order of generating it alone, and the stacked slices carry the bits
+    of single views, so every graph equals its own `generate`."""
+    if any(n < 1 for n in sizes):
         raise GraphError("n must be >= 1")
     c = denoiser.config
-    state = fully_masked_state(empty_graph(n, c.num_node_types, c.num_edge_types))
-    steps = []
-    for _ in range(n):
-        target = state.last_absorbed()
-        view = denoising_view(state, target)
-        node_type, assignment = denoiser.sample_step(view, rng)
-        dropped: tuple[int, ...] = ()
-        if max_degree is not None:
-            assignment, dropped = enforce_degree_cap(state.base, assignment,
-                                                     max_degree, rng)
-        state = apply_prediction(state, target, node_type, assignment)
-        steps.append(StepRecord(target, node_type,
-                                tuple(sorted(assignment.items())), dropped))
-    return GenerationTrace(state.base, tuple(steps))
+    states = [fully_masked_state(empty_graph(n, c.num_node_types, c.num_edge_types))
+              for n in sizes]
+    steps: list[list[StepRecord]] = [[] for _ in sizes]
+    for s in range(max(sizes, default=0)):
+        live = [i for i, n in enumerate(sizes) if n > s]
+        targets = [states[i].last_absorbed() for i in live]
+        views = [denoising_view(states[i], t) for i, t in zip(live, targets)]
+        for i, target, sampler in zip(live, targets, StepSampler.stack(denoiser, views)):
+            node_type, assignment = sampler.draw(rngs[i])
+            dropped: tuple[int, ...] = ()
+            if max_degree is not None:
+                assignment, dropped = enforce_degree_cap(states[i].base, assignment,
+                                                         max_degree, rngs[i])
+            states[i] = apply_prediction(states[i], target, node_type, assignment)
+            steps[i].append(StepRecord(target, node_type,
+                                       tuple(sorted(assignment.items())), dropped))
+    return [GenerationTrace(state.base, tuple(records))
+            for state, records in zip(states, steps)]
 
 
 def replay(trace: GenerationTrace, num_node_types: int,
@@ -116,10 +130,9 @@ def replay(trace: GenerationTrace, num_node_types: int,
 
 
 def generate_batch(denoiser: DenoiserNet, config: GenerationConfig) -> list[GenerationTrace]:
-    """Independent generations; sample i uses the rng stream (seed, i)."""
-    traces = []
-    for i in range(config.count):
-        rng = np.random.default_rng([config.seed, i])
-        n = config.n if config.n is not None else sample_size(config.sizes, rng)
-        traces.append(generate(denoiser, n, rng, max_degree=config.max_degree))
-    return traces
+    """Independent generations, run in lockstep; sample i uses the rng
+    stream (seed, i) and equals its own `generate` call."""
+    rngs = [np.random.default_rng([config.seed, i]) for i in range(config.count)]
+    sizes = [config.n if config.n is not None else sample_size(config.sizes, rng)
+             for rng in rngs]
+    return _generate_lockstep(denoiser, sizes, rngs, config.max_degree)

@@ -15,6 +15,12 @@ trajectory NLL still adds its per-step terms in timestep order, so an NLL
 read through the memo equals the one computed without it bit for bit. On
 exact enumeration this cuts n * n! denoiser forwards to the n * 2^(n-1)
 distinct views (96 to 32 at n=4).
+
+The sampled estimators draw all their orderings first (an NLL consumes no
+rng, so the stream is unchanged), then fill the memo with every view those
+orderings reach, computing the missing views of each size in stacks
+(`DenoiserNet.step_log_likelihoods`), whose slices carry the bits of single
+views. `exact_marginal` computes one view per `step_log_likelihood` call.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .denoiser import StepSampler
 from .graphs import (DiffusionTrajectory, GraphError, LabeledGraph,
-                     denoising_view, forward_trajectory)
+                     denoising_view, forward_trajectory, observed_step)
 from .model import ModelBundle
 from .training import denoiser_loss
 
@@ -63,11 +69,13 @@ class _OrderingCache:
         self.steps: dict[tuple, tuple] = {}
         self.nll: dict[tuple, float] = {}
         self.views: dict = {}            # DenoisingView -> step log-likelihood
+        self.weights = model.ordering.layer_weights()
 
     def step(self, prefix: tuple):
         cached = self.steps.get(prefix)
         if cached is None:
-            remaining, logp = self.model.ordering.step_log_probs(self.graph, prefix)
+            remaining, logp = self.model.ordering.step_log_probs(self.graph, prefix,
+                                                                 weights=self.weights)
             cached = (remaining, np.exp(logp.data), logp.data)
             self.steps[prefix] = cached
         return cached
@@ -81,6 +89,26 @@ class _OrderingCache:
             logq += float(logp[idx])
             prefix = prefix + (remaining[idx],)
         return prefix, logq
+
+    def fill(self, orderings) -> None:
+        """Memoize every view the orderings' trajectory NLLs read, computing
+        the missing views of each size in stacks."""
+        pending: dict = {}                # DenoisingView -> (node type, edges)
+        for ordering in orderings:
+            trajectory = forward_trajectory(self.graph, ordering)
+            for t, target in enumerate(ordering, start=1):
+                state = trajectory.states[t]
+                view = denoising_view(state, target)
+                if view not in self.views and view not in pending:
+                    pending[view] = observed_step(self.graph, state, target)
+        by_size: dict[int, list] = {}
+        for view in pending:
+            by_size.setdefault(view.size, []).append(view)
+        for views in by_size.values():
+            labels = [pending[v] for v in views]
+            self.views.update(zip(views, self.model.denoiser.step_log_likelihoods(
+                views, [node_type for node_type, _ in labels],
+                [edges for _, edges in labels])))
 
     def ordering_nll(self, ordering: tuple) -> float:
         cached = self.nll.get(ordering)
@@ -97,10 +125,9 @@ def expected_nll(model: ModelBundle, graph: LabeledGraph, num_orderings: int,
     if num_orderings < 1:
         raise ValueError("need at least one ordering sample")
     cache = _OrderingCache(model, graph)
-    values = np.empty(num_orderings)
-    for s in range(num_orderings):
-        ordering, _ = cache.sample(rng)
-        values[s] = cache.ordering_nll(ordering)
+    orderings = [cache.sample(rng)[0] for _ in range(num_orderings)]
+    cache.fill(orderings)
+    values = np.array([cache.ordering_nll(ordering) for ordering in orderings])
     se = float(values.std(ddof=1) / math.sqrt(num_orderings)) if num_orderings > 1 else 0.0
     return NllEstimate(float(values.mean()), se, num_orderings, "expected-nll")
 
@@ -113,10 +140,9 @@ def is_marginal_likelihood(model: ModelBundle, graph: LabeledGraph,
     if num_orderings < 1:
         raise ValueError("need at least one ordering sample")
     cache = _OrderingCache(model, graph)
-    logw = np.empty(num_orderings)
-    for s in range(num_orderings):
-        ordering, logq = cache.sample(rng)
-        logw[s] = -cache.ordering_nll(ordering) - logq
+    samples = [cache.sample(rng) for _ in range(num_orderings)]
+    cache.fill(ordering for ordering, _ in samples)
+    logw = np.array([-cache.ordering_nll(ordering) - logq for ordering, logq in samples])
     m = logw.max()
     scaled = np.exp(logw - m)
     log_mean = m + math.log(scaled.mean())

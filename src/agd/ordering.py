@@ -104,8 +104,21 @@ class OrderingNet:
             return Tensor(self.params[name].data)
         return tape.watch(self.params[name])
 
-    def node_scores(self, graph: LabeledGraph, prefix, tape: Tape | None = None) -> Tensor:
+    def layer_weights(self, tape: Tape | None = None) -> list[tuple[Tensor, Tensor, Tensor]]:
+        """Each layer's heads as one (d, heads * hidden) projection and
+        (heads, hidden) source and target attention vectors. A caller that
+        scores many prefixes builds these once and passes them to
+        `node_scores`."""
+        heads = range(self.config.heads)
+        return [(ad.concat([self._get(tape, f"l{l}_h{hd}_w") for hd in heads], axis=1),
+                 ad.stack([self._get(tape, f"l{l}_h{hd}_asrc") for hd in heads]),
+                 ad.stack([self._get(tape, f"l{l}_h{hd}_adst") for hd in heads]))
+                for l in range(self.config.layers)]
+
+    def node_scores(self, graph: LabeledGraph, prefix, tape: Tape | None = None,
+                    weights=None) -> Tensor:
         """Per-node scalar scores given the absorbed prefix (in order).
+        `weights` is `layer_weights(tape)`, built here when not given.
 
         Each layer attends over all heads and nodes at once: logits
         s_i + r_j of shape (n, n, heads), softmax over the neighbours j of
@@ -113,6 +126,8 @@ class OrderingNet:
         scores are equivariant to node relabeling bit for bit.
         """
         c = self.config
+        if weights is None:
+            weights = self.layer_weights(tape)
         n = graph.n
         position = {v: i + 1 for i, v in enumerate(prefix)}
         emb = ad.rows(self._get(tape, "embed"), list(graph.node_types))
@@ -126,11 +141,7 @@ class OrderingNet:
         h = ad.add(ad.matmul(x, self._get(tape, "w_in")), self._get(tape, "b_in"))
 
         neighbours = ((graph.adjacency != ABSENT) | np.eye(n, dtype=bool))[:, :, None]
-        heads = range(c.heads)
-        for l in range(c.layers):
-            w = ad.concat([self._get(tape, f"l{l}_h{hd}_w") for hd in heads], axis=1)
-            a_src = ad.stack([self._get(tape, f"l{l}_h{hd}_asrc") for hd in heads])
-            a_dst = ad.stack([self._get(tape, f"l{l}_h{hd}_adst") for hd in heads])
+        for w, a_src, a_dst in weights:
             wh = ad.reshape(ad.matmul(h, w), (n, c.heads, c.hidden))
             s = ad.reshape(ad.einsum("nhk,hk->nh", wh, a_src), (n, 1, c.heads))
             r = ad.reshape(ad.einsum("nhk,hk->nh", wh, a_dst), (1, n, c.heads))
@@ -147,13 +158,13 @@ class OrderingNet:
         sel = ad.take(scores, unabsorbed)
         return ad.sub(sel, ad.logsumexp(sel))
 
-    def step_log_probs(self, graph: LabeledGraph, prefix,
-                       tape: Tape | None = None) -> tuple[list[int], Tensor]:
+    def step_log_probs(self, graph: LabeledGraph, prefix, tape: Tape | None = None,
+                       weights=None) -> tuple[list[int], Tensor]:
         """The unabsorbed nodes (ascending) after `prefix`, and the log
         probability of each being absorbed next."""
         absorbed = set(prefix)
         unabsorbed = [i for i in range(graph.n) if i not in absorbed]
-        scores = self.node_scores(graph, prefix, tape)
+        scores = self.node_scores(graph, prefix, tape, weights)
         return unabsorbed, self._step_log_probs(scores, unabsorbed)
 
     # -- public operations ----------------------------------------------------
@@ -176,8 +187,9 @@ class OrderingNet:
         ordering: list[int] = []
         step_log_probs: list[float] = []
         step_weights: list[dict[int, float]] = []
+        weights = self.layer_weights()
         for _ in range(graph.n):
-            remaining, logp = self.step_log_probs(graph, ordering)
+            remaining, logp = self.step_log_probs(graph, ordering, weights=weights)
             probs = np.exp(logp.data)
             step_weights.append({v: float(p) for v, p in zip(remaining, probs)})
             idx = int(rng.choice(len(remaining), p=probs / probs.sum()))
@@ -193,7 +205,8 @@ class OrderingNet:
         if sorted(ordering) != list(range(graph.n)):
             raise GraphError("ordering is not a permutation of the node ids")
         total = Tensor(0.0)
+        weights = self.layer_weights(tape)
         for t, v in enumerate(ordering):
-            remaining, logp = self.step_log_probs(graph, ordering[:t], tape)
+            remaining, logp = self.step_log_probs(graph, ordering[:t], tape, weights)
             total = ad.add(total, ad.pick(logp, remaining.index(v)))
         return total
