@@ -8,7 +8,6 @@ whose inputs are a permutation of another's produces bit-identical values.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -492,11 +491,11 @@ def masked_softmax(a, mask, axis: int = -1) -> Tensor:
     return _result(out, [a], [vjp])
 
 
-@functools.lru_cache(maxsize=1024)
-def _einsum_specs(spec: str, shape_a: tuple, shape_b: tuple) -> tuple[str, str, str]:
-    """Check a two-operand spec against the operand shapes; return the
-    forward spec and the specs of the two operand gradients. Cached: the
-    checks cost several times the einsum itself on small operands."""
+def einsum(spec: str, a, b) -> Tensor:
+    """Two-operand Einstein summation with an explicit output, e.g.
+    "nhk,hk->nh". Each index of an operand must appear in the other operand
+    or in the output, and at most once per term."""
+    a, b = as_tensor(a), as_tensor(b)
     try:
         inputs, out_idx = spec.replace(" ", "").split("->")
         ia, ib = inputs.split(",")
@@ -507,26 +506,19 @@ def _einsum_specs(spec: str, shape_a: tuple, shape_b: tuple) -> tuple[str, str, 
             raise ShapeError(f"einsum term {term!r} must be distinct letters")
     if not set(ia) <= set(ib) | set(out_idx) or not set(ib) <= set(ia) | set(out_idx):
         raise ShapeError(f"einsum {spec!r} sums an index over one operand alone")
-    if len(ia) != len(shape_a) or len(ib) != len(shape_b):
-        raise ShapeError(f"einsum {spec!r} does not match shapes {shape_a} and {shape_b}")
-    sizes = dict(zip(ia, shape_a))
-    if any(sizes.setdefault(c, n) != n for c, n in zip(ib, shape_b)):
-        raise ShapeError(f"einsum {spec!r}: shapes {shape_a} and {shape_b} "
-                         "disagree on an index")
+    if len(ia) != a.data.ndim or len(ib) != b.data.ndim:
+        raise ShapeError(f"einsum {spec!r} does not match shapes "
+                         f"{a.data.shape} and {b.data.shape}")
+    sizes = dict(zip(ia, a.data.shape))
+    if any(sizes.setdefault(c, n) != n for c, n in zip(ib, b.data.shape)):
+        raise ShapeError(f"einsum {spec!r}: shapes {a.data.shape} and "
+                         f"{b.data.shape} disagree on an index")
     if not set(out_idx) <= set(sizes):
         raise ShapeError(f"einsum {spec!r} outputs an index no operand has")
-    return f"{ia},{ib}->{out_idx}", f"{out_idx},{ib}->{ia}", f"{out_idx},{ia}->{ib}"
-
-
-def einsum(spec: str, a, b) -> Tensor:
-    """Two-operand Einstein summation with an explicit output, e.g.
-    "nhk,hk->nh". Each index of an operand must appear in the other operand
-    or in the output, and at most once per term."""
-    a, b = as_tensor(a), as_tensor(b)
-    forward, spec_a, spec_b = _einsum_specs(spec, a.data.shape, b.data.shape)
-    return _result(np.einsum(forward, a.data, b.data), [a, b], [
-        lambda g: np.einsum(spec_a, g, b.data),
-        lambda g: np.einsum(spec_b, g, a.data),
+    out = np.einsum(f"{ia},{ib}->{out_idx}", a.data, b.data)
+    return _result(out, [a, b], [
+        lambda g: np.einsum(f"{out_idx},{ib}->{ia}", g, b.data),
+        lambda g: np.einsum(f"{out_idx},{ia}->{ib}", g, a.data),
     ])
 
 

@@ -162,9 +162,14 @@ class DenoiserNet:
 
     # -- message passing ------------------------------------------------------
 
-    def message_pass(self, view: DenoisingView, tape: Tape | None = None):
+    def message_pass(self, view, tape: Tape | None = None):
         """L rounds over the view; returns (per-node embeddings, mean pooling).
-        A stack of one view through `_stack_message_pass`."""
+
+        `view` may also be a sequence of B views of one size m; the results
+        are then stacked, (B, m, d) and (B, d). One view is a stack of one.
+        """
+        if not isinstance(view, DenoisingView):
+            return self._stack_message_pass(view, tape)
         h, h_g = self._stack_message_pass([view], tape)
         return ad.reshape(h, h.shape[1:]), ad.reshape(h_g, h_g.shape[1:])
 
@@ -249,7 +254,7 @@ class DenoiserNet:
         c = self.config
         B, m = len(views), views[0].size
         first = np.arange(B) * m
-        h, h_g = self._stack_message_pass(views, tape)
+        h, h_g = self.message_pass(views, tape)
         h_t = ad.rows(h, first + [v.target_index for v in views])          # (B, d)
         node_in = ad.reshape(ad.concat([h_g, h_t], axis=1), (B, 1, 2 * c.hidden))
         node_logits = _mlp2(node_in, self._get(tape, "nh1"), self._get(tape, "nh1b"),
@@ -326,33 +331,49 @@ class DenoiserNet:
         comps = ad.tsum(ad.tsum(ad.mul(edge_logp, onehot), axis=3), axis=2)   # (B, K)
         return ad.add(ll, ad.logsumexp(ad.add(mix_logw, comps), axis=1))
 
-    def step_log_likelihood(self, view: DenoisingView, node_type: int,
-                            observed_edges: dict[int, int],
-                            tape: Tape | None = None) -> Tensor:
-        """log p(node type) + log sum_k alpha_k prod_j p_k(e_j), stabilized."""
-        return ad.reshape(self._stack_log_likelihood([view], [node_type],
-                                                     [observed_edges], tape), ())
+    def step_log_likelihood(self, view, node_type, observed_edges,
+                            tape: Tape | None = None):
+        """log p(node type) + log sum_k alpha_k prod_j p_k(e_j), stabilized.
 
-    def step_log_likelihoods(self, views, node_types, observed_edges) -> list[Tensor]:
-        """Untaped `step_log_likelihood` of each of a list of views of one
-        size, computed in `stack_chunks`; each value has the bits of its own
-        call."""
+        `view` may also be a sequence of views of one size, with one node
+        type and one observed-edge dict per view. They are computed untaped,
+        in the stacks of `stack_chunks`, and the result is a list of 0-d
+        tensors, each with the bits of its own call."""
+        if isinstance(view, DenoisingView):
+            return ad.reshape(self._stack_log_likelihood([view], [node_type],
+                                                         [observed_edges], tape), ())
+        if tape is not None:
+            raise ValueError("a stack of views is computed untaped")
         out: list[Tensor] = []
-        lo = 0
-        for chunk in stack_chunks(views):
+        for lo, chunk in stack_chunks(view):
             hi = lo + len(chunk)
-            ll = self._stack_log_likelihood(chunk, node_types[lo:hi],
+            ll = self._stack_log_likelihood(chunk, node_type[lo:hi],
                                             observed_edges[lo:hi], None)
             out.extend(Tensor(v) for v in ll.data)
-            lo = hi
         return out
 
-    def sample_step(self, view: DenoisingView, rng: np.random.Generator,
-                    edge_mask=None):
+    def sample_step(self, view, rng, edge_mask=None):
         """Sample (node type, {prev node -> edge state}); one mixture component
         is drawn and all edges of the step come from it. Slots named in
-        `edge_mask` are forced ABSENT."""
-        return StepSampler(self, view).draw(rng, edge_mask)
+        `edge_mask` are forced ABSENT.
+
+        `view` may also be a sequence of views of one size, with `rng` a
+        sequence of one generator per view and no `edge_mask`. The views are
+        drawn in the stacks of `stack_chunks`, each stack before the next is
+        computed, so at most one stack's features are held at a time. The
+        result is the list of draws, each equal to its own call, with each
+        generator left where its own call leaves it."""
+        if isinstance(view, DenoisingView):
+            return StepSampler(self, view).draw(rng, edge_mask)
+        if edge_mask is not None:
+            raise ValueError("a stack of views is drawn without an edge mask")
+        draws = []
+        for lo, chunk in stack_chunks(view):
+            trunk = self._stack_trunk(chunk, None)
+            draws.extend(StepSampler(self, v, trunk, b).draw(rng[lo + b])
+                         for b, v in enumerate(chunk))
+            del trunk              # freed before the next stack is computed
+        return draws
 
 
 # Most (view, node, node) pairs, B * m^2, in one stacked forward. A GAT
@@ -363,13 +384,15 @@ class DenoiserNet:
 STACK_PAIR_BUDGET = 512
 
 
-def stack_chunks(views) -> list:
+def stack_chunks(views) -> list[tuple[int, tuple]]:
     """Split views of one size, in order, into stacks of at most
-    STACK_PAIR_BUDGET pairs; a view larger than the budget is a stack of one."""
+    STACK_PAIR_BUDGET pairs; a view larger than the budget is a stack of one.
+    Returns (index of the stack's first view, stack) pairs."""
+    views = tuple(views)
     if len({v.size for v in views}) > 1:
         raise ValueError("a stack holds views of one size")
     step = max(1, STACK_PAIR_BUDGET // views[0].size ** 2) if views else 1
-    return [views[lo:lo + step] for lo in range(0, len(views), step)]
+    return [(lo, views[lo:lo + step]) for lo in range(0, len(views), step)]
 
 
 class StepSampler:
@@ -391,16 +414,6 @@ class StepSampler:
         self._pair = None if pair is None else Tensor(pair.data[b:b + 1])
         self.prev_nodes = tuple(view.prev_nodes())
         self._edge_probs: dict[int, np.ndarray] = {}
-
-    @classmethod
-    def stack(cls, net: DenoiserNet, views) -> list["StepSampler"]:
-        """One sampler per view of one size, from stacked trunks over
-        `stack_chunks`; each equals `StepSampler(net, view)` bit for bit."""
-        samplers = []
-        for chunk in stack_chunks(views):
-            trunk = net._stack_trunk(chunk, None)
-            samplers.extend(cls(net, view, trunk, b) for b, view in enumerate(chunk))
-        return samplers
 
     def edge_probs(self, k: int) -> np.ndarray:
         """Component k's (P, E) edge-state probabilities."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import DenoiserNet, StepSampler
+from .denoiser import DenoiserNet
 from .graphs import (ABSENT, GraphError, LabeledGraph, apply_prediction,
                      denoising_view, empty_graph, fully_masked_state)
 
@@ -93,9 +93,10 @@ def _generate_lockstep(denoiser: DenoiserNet, sizes, rngs,
                        max_degree: int | None) -> list[GenerationTrace]:
     """Generate graph i of sizes[i] from rngs[i], all graphs step by step
     together. At step s every unfinished graph's view has s + 1 nodes, so
-    the views of a step are stacked. Each graph draws from its own rng in
-    the order of generating it alone, and the stacked slices carry the bits
-    of single views, so every graph equals its own `generate`."""
+    the views of a step are drawn as one stack, and then each graph's
+    degree cap runs. Each graph draws from its own rng in the order of
+    generating it alone, and the stacked slices carry the bits of single
+    views, so every graph equals its own `generate`."""
     if any(n < 1 for n in sizes):
         raise GraphError("n must be >= 1")
     c = denoiser.config
@@ -106,8 +107,8 @@ def _generate_lockstep(denoiser: DenoiserNet, sizes, rngs,
         live = [i for i, n in enumerate(sizes) if n > s]
         targets = [states[i].last_absorbed() for i in live]
         views = [denoising_view(states[i], t) for i, t in zip(live, targets)]
-        for i, target, sampler in zip(live, targets, StepSampler.stack(denoiser, views)):
-            node_type, assignment = sampler.draw(rngs[i])
+        draws = denoiser.sample_step(views, [rngs[i] for i in live])
+        for i, target, (node_type, assignment) in zip(live, targets, draws):
             dropped: tuple[int, ...] = ()
             if max_degree is not None:
                 assignment, dropped = enforce_degree_cap(states[i].base, assignment,

@@ -18,9 +18,10 @@ distinct views (96 to 32 at n=4).
 
 The sampled estimators draw all their orderings first (an NLL consumes no
 rng, so the stream is unchanged), then fill the memo with every view those
-orderings reach, computing the missing views of each size in stacks
-(`DenoiserNet.step_log_likelihoods`), whose slices carry the bits of single
-views. `exact_marginal` computes one view per `step_log_likelihood` call.
+orderings reach (`training.loss_views`, the views `denoiser_loss` reads),
+computing the missing views of each size in one stacked
+`step_log_likelihood` call, whose slices carry the bits of single views.
+`exact_marginal` computes one view per `step_log_likelihood` call.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .denoiser import StepSampler
 from .graphs import (DiffusionTrajectory, GraphError, LabeledGraph,
                      denoising_view, forward_trajectory, observed_step)
 from .model import ModelBundle
-from .training import denoiser_loss
+from .training import denoiser_loss, loss_views
 
 
 @dataclass
@@ -92,23 +93,21 @@ class _OrderingCache:
 
     def fill(self, orderings) -> None:
         """Memoize every view the orderings' trajectory NLLs read, computing
-        the missing views of each size in stacks."""
+        the missing views of each size as one stack."""
         pending: dict = {}                # DenoisingView -> (node type, edges)
         for ordering in orderings:
             trajectory = forward_trajectory(self.graph, ordering)
-            for t, target in enumerate(ordering, start=1):
-                state = trajectory.states[t]
-                view = denoising_view(state, target)
+            timesteps = range(1, self.graph.n + 1)
+            for view, state, target, _ in loss_views(trajectory, timesteps):
                 if view not in self.views and view not in pending:
                     pending[view] = observed_step(self.graph, state, target)
         by_size: dict[int, list] = {}
         for view in pending:
             by_size.setdefault(view.size, []).append(view)
         for views in by_size.values():
-            labels = [pending[v] for v in views]
-            self.views.update(zip(views, self.model.denoiser.step_log_likelihoods(
-                views, [node_type for node_type, _ in labels],
-                [edges for _, edges in labels])))
+            node_types, edges = zip(*(pending[v] for v in views))
+            self.views.update(zip(views, self.model.denoiser.step_log_likelihood(
+                tuple(views), node_types, edges)))
 
     def ordering_nll(self, ordering: tuple) -> float:
         cached = self.nll.get(ordering)

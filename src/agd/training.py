@@ -96,6 +96,21 @@ def _retained_candidates(weights: dict[int, float], sampled: int, top_k: int):
     return [(v, weights[v] / total) for v in kept]
 
 
+def loss_views(trajectory: DiffusionTrajectory, timesteps, top_k: int = 1):
+    """Yield (view, state, candidate, weight) for every term of the denoiser
+    loss over the sorted `timesteps`, in the order the loss sums them: the
+    candidate is denoised out of `state` through `view`."""
+    for t in timesteps:
+        sampled = trajectory.ordering[t - 1]
+        for cand, w in _retained_candidates(trajectory.step_weights[t - 1],
+                                            sampled, top_k):
+            if cand == sampled:
+                state = trajectory.states[t]
+            else:
+                state = absorb_node(trajectory.states[t - 1], cand)
+            yield denoising_view(state, cand), state, cand, w
+
+
 def denoiser_loss(graph: LabeledGraph, trajectory: DiffusionTrajectory,
                   timesteps, denoiser: DenoiserNet, top_k: int = 1, tape=None,
                   memo: dict | None = None):
@@ -115,23 +130,15 @@ def denoiser_loss(graph: LabeledGraph, trajectory: DiffusionTrajectory,
     if any(t < 1 or t > n for t in timesteps):
         raise ValueError("timesteps must lie in 1..n")
     total = None
-    for t in timesteps:
-        sampled = trajectory.ordering[t - 1]
-        for cand, w in _retained_candidates(trajectory.step_weights[t - 1],
-                                            sampled, top_k):
-            if cand == sampled:
-                state = trajectory.states[t]
-            else:
-                state = absorb_node(trajectory.states[t - 1], cand)
-            view = denoising_view(state, cand)
-            ll = memo.get(view) if memo is not None else None
-            if ll is None:
-                node_type, observed = observed_step(graph, state, cand)
-                ll = denoiser.step_log_likelihood(view, node_type, observed, tape)
-                if memo is not None:
-                    memo[view] = ll
-            term = ll * w
-            total = term if total is None else total + term
+    for view, state, cand, w in loss_views(trajectory, timesteps, top_k):
+        ll = memo.get(view) if memo is not None else None
+        if ll is None:
+            node_type, observed = observed_step(graph, state, cand)
+            ll = denoiser.step_log_likelihood(view, node_type, observed, tape)
+            if memo is not None:
+                memo[view] = ll
+        term = ll * w
+        total = term if total is None else total + term
     scaled = total * (-float(n) / len(timesteps))
     return scaled if tape is not None else scaled.item()
 

@@ -3,11 +3,14 @@ view the bits of its own stack of one, and the callers that stack views
 (lockstep generation, the sampled NLL estimators) equal their one-view
 references exactly, draws and rng streams included."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from agd.autodiff import Tape
 from agd.denoiser import (STACK_PAIR_BUDGET, DenoiserConfig, DenoiserNet, StepSampler,
                           stack_chunks)
 from agd.generate import (GenerationConfig, StepRecord, _generate_lockstep,
@@ -85,7 +88,8 @@ def assert_slices_equal_stacks_of_one(net, views):
     node_types, observed = zip(*(labels(v, rng) for v in views))
     stacked = net._stack_log_heads(views, None)
     lls = net._stack_log_likelihood(views, list(node_types), list(observed), None)
-    samplers = StepSampler.stack(net, views)
+    trunk = net._stack_trunk(views, None)
+    chunked = net.step_log_likelihood(views, node_types, observed)
     for b, view in enumerate(views):
         alone = net._stack_log_heads([view], None)
         for got, want in zip(stacked, alone):
@@ -93,8 +97,8 @@ def assert_slices_equal_stacks_of_one(net, views):
             if got is not None:
                 assert np.array_equal(got.data[b:b + 1], want.data)
         ll = net.step_log_likelihood(view, node_types[b], observed[b])
-        assert lls.data[b] == ll.item()
-        sampler, single = samplers[b], StepSampler(net, view)
+        assert lls.data[b] == ll.item() == chunked[b].item()
+        sampler, single = StepSampler(net, view, trunk, b), StepSampler(net, view)
         assert np.array_equal(sampler.node_probs, single.node_probs)
         if view.size > 1:
             assert np.array_equal(sampler.mixture_weights, single.mixture_weights)
@@ -121,6 +125,16 @@ class TestSlicesEqualStacksOfOne:
         with pytest.raises(ValueError, match="one size"):
             stack_chunks([random_view(2, np.random.default_rng(0)),
                           random_view(3, np.random.default_rng(0))])
+
+    def test_a_stack_is_untaped_and_unmasked(self):
+        net = denoiser(seed=1)
+        views = views_of_size(4, 2, seed=1)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="untaped"):
+            net.step_log_likelihood(views, [0, 0], [labels(v, rng)[1] for v in views],
+                                    tape=Tape())
+        with pytest.raises(ValueError, match="edge mask"):
+            net.sample_step(views, [rng, rng], edge_mask={views[0].nodes[0]})
 
 
 def reference_draw(net, view, rng):
@@ -262,3 +276,49 @@ def test_no_stack_exceeds_the_pair_budget(monkeypatch):
     assert all(b * m * m <= STACK_PAIR_BUDGET for b, m in stacks if b > 1)
     assert any(b * m * m > STACK_PAIR_BUDGET // 2 for b, m in stacks if b > 1)
     assert (1, 25) in stacks          # a view over the budget is a stack of one
+
+
+def test_stacked_work_runs_through_the_public_entry_points(monkeypatch):
+    """Lockstep generation draws through one `sample_step` call per step, the
+    memo fill computes through one `step_log_likelihood` call per view size,
+    and every forward runs through `message_pass`, so code that wraps those
+    methods sees all of the stacked work."""
+    calls = {"message_pass": [], "sample_step": [], "step_log_likelihood": []}
+    for name, log in calls.items():
+        def logged(self, view, *args, _original=getattr(DenoiserNet, name), _log=log,
+                   **kwargs):
+            _log.append(view)
+            return _original(self, view, *args, **kwargs)
+        monkeypatch.setattr(DenoiserNet, name, logged)
+    net = denoiser(seed=10)
+    generate_batch(net, GenerationConfig(count=20, n=9, seed=2))
+    assert [len(v) for v in calls["sample_step"]] == [20] * 9
+    assert sum(map(len, calls["message_pass"])) == 20 * 9
+    assert len(calls["message_pass"]) == sum(-(-20 // budget(m)) for m in range(1, 10))
+    for log in calls.values():
+        log.clear()
+    model = nll_model(seed=11)
+    expected_nll(model, typed_graph(6, seed=3), 10, np.random.default_rng(1))
+    sizes = [v[0].size for v in calls["step_log_likelihood"]]
+    assert sorted(sizes) == list(range(1, 7))
+    assert sum(map(len, calls["message_pass"])) == sum(map(len, calls["step_log_likelihood"]))
+
+
+def test_generation_holds_one_stack_at_a_time(monkeypatch):
+    """Each stack is drawn before the next is computed: when a stack's trunk
+    is computed, no earlier stack's pair features are alive."""
+    alive = []
+    original = DenoiserNet._stack_trunk
+
+    def checked(self, views, tape):
+        gc.collect()
+        assert not [ref for ref in alive if ref() is not None]
+        trunk = original(self, views, tape)
+        if trunk[2] is not None:
+            alive.append(weakref.ref(trunk[2].data))
+        return trunk
+
+    monkeypatch.setattr(DenoiserNet, "_stack_trunk", checked)
+    net = denoiser(seed=12)
+    generate_batch(net, GenerationConfig(count=30, n=10, seed=3))
+    assert len(alive) > 10 * 2            # several stacks per step
