@@ -215,6 +215,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_nll(args) -> int:
+    if args.samples < 1:
+        raise CliError(f"--samples must be >= 1, got {args.samples}")
+    if args.exact_max < 0:
+        raise CliError(f"--exact-max must be >= 0, got {args.exact_max}")
     bundle = ModelBundle.load(args.checkpoint)
     corpus = load_corpus(args.corpus)
     _check_vocabulary(corpus, args.corpus, bundle.denoiser.config)

@@ -16,12 +16,14 @@ read through the memo equals the one computed without it bit for bit. On
 exact enumeration this cuts n * n! denoiser forwards to the n * 2^(n-1)
 distinct views (96 to 32 at n=4).
 
-The sampled estimators draw all their orderings first (an NLL consumes no
-rng, so the stream is unchanged), then fill the memo with every view those
+Every estimator takes all its orderings first: the sampled ones draw them
+(an NLL consumes no rng, so the stream is unchanged), `exact_marginal`
+enumerates the n! permutations. It then fills the memo with every view those
 orderings reach (`training.loss_views`, the views `denoiser_loss` reads),
 computing the missing views of each size in one stacked
-`step_log_likelihood` call, whose slices carry the bits of single views.
-`exact_marginal` computes one view per `step_log_likelihood` call.
+`step_log_likelihood` call, whose slices carry the bits of single views. At
+n=4 that is 4 calls for the 32 views. Each ordering's views are built once,
+by the fill, and its NLL is summed from them through the memo.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .denoiser import StepSampler
 from .graphs import (DiffusionTrajectory, GraphError, LabeledGraph,
                      denoising_view, forward_trajectory, observed_step)
 from .model import ModelBundle
-from .training import denoiser_loss, loss_views
+from .training import loss_views, weighted_log_likelihood
 
 
 @dataclass
@@ -52,12 +54,15 @@ class NllEstimate:
 
 
 def trajectory_nll(model: ModelBundle, graph: LabeledGraph, ordering,
-                   memo: dict | None = None) -> float:
+                   memo: dict | None = None, *, _views=None) -> float:
     """-sum_t log p(step t) along the full trajectory for one ordering: the
     denoiser loss at every timestep, without soft labels. `memo` is a step
-    memo for this graph and model (see the module docstring)."""
-    return denoiser_loss(graph, forward_trajectory(graph, ordering),
-                         range(1, graph.n + 1), model.denoiser, memo=memo)
+    memo for this graph and model (see the module docstring). `_views` are
+    the ordering's `loss_views`, when `_OrderingCache.fill` built them."""
+    if _views is None:
+        _views = loss_views(forward_trajectory(graph, ordering), range(1, graph.n + 1))
+    # the denoiser loss at all n timesteps, whose n/T scale is 1
+    return -weighted_log_likelihood(graph, _views, model.denoiser, memo=memo).item()
 
 
 class _OrderingCache:
@@ -70,6 +75,7 @@ class _OrderingCache:
         self.steps: dict[tuple, tuple] = {}
         self.nll: dict[tuple, float] = {}
         self.views: dict = {}            # DenoisingView -> step log-likelihood
+        self.built: dict[tuple, tuple] = {}   # ordering -> its loss views, until summed
         self.weights = model.ordering.layer_weights()
 
     def step(self, prefix: tuple):
@@ -92,13 +98,17 @@ class _OrderingCache:
         return prefix, logq
 
     def fill(self, orderings) -> None:
-        """Memoize every view the orderings' trajectory NLLs read, computing
-        the missing views of each size as one stack."""
+        """Build the loss views of each ordering once, and memoize every view
+        their trajectory NLLs read, computing the missing views of each size
+        as one stack."""
         pending: dict = {}                # DenoisingView -> (node type, edges)
+        timesteps = range(1, self.graph.n + 1)
         for ordering in orderings:
-            trajectory = forward_trajectory(self.graph, ordering)
-            timesteps = range(1, self.graph.n + 1)
-            for view, state, target, _ in loss_views(trajectory, timesteps):
+            if ordering in self.built:
+                continue
+            views = tuple(loss_views(forward_trajectory(self.graph, ordering), timesteps))
+            self.built[ordering] = views
+            for view, state, target, _ in views:
                 if view not in self.views and view not in pending:
                     pending[view] = observed_step(self.graph, state, target)
         by_size: dict[int, list] = {}
@@ -112,7 +122,8 @@ class _OrderingCache:
     def ordering_nll(self, ordering: tuple) -> float:
         cached = self.nll.get(ordering)
         if cached is None:
-            cached = trajectory_nll(self.model, self.graph, ordering, self.views)
+            cached = trajectory_nll(self.model, self.graph, ordering, self.views,
+                                    _views=self.built.pop(ordering, None))
             self.nll[ordering] = cached
         return cached
 
@@ -158,8 +169,9 @@ def exact_marginal(model: ModelBundle, graph: LabeledGraph,
     if graph.n > limit:
         raise GraphError(f"exact enumeration limited to n <= {limit}")
     cache = _OrderingCache(model, graph)
-    log_terms = [-cache.ordering_nll(sigma)
-                 for sigma in itertools.permutations(range(graph.n))]
+    orderings = list(itertools.permutations(range(graph.n)))
+    cache.fill(orderings)
+    log_terms = [-cache.ordering_nll(sigma) for sigma in orderings]
     m = max(log_terms)
     total = m + math.log(sum(math.exp(v - m) for v in log_terms))
     return NllEstimate(-total, 0.0, len(log_terms), "exact")

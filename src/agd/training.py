@@ -129,8 +129,18 @@ def denoiser_loss(graph: LabeledGraph, trajectory: DiffusionTrajectory,
     n = trajectory.n
     if any(t < 1 or t > n for t in timesteps):
         raise ValueError("timesteps must lie in 1..n")
+    total = weighted_log_likelihood(graph, loss_views(trajectory, timesteps, top_k),
+                                    denoiser, tape, memo)
+    scaled = total * (-float(n) / len(timesteps))
+    return scaled if tape is not None else scaled.item()
+
+
+def weighted_log_likelihood(graph: LabeledGraph, views, denoiser: DenoiserNet,
+                            tape=None, memo: dict | None = None):
+    """sum w * log p(candidate) over `loss_views` items, added in their order;
+    a Tensor. `memo` is read and filled as in `denoiser_loss`."""
     total = None
-    for view, state, cand, w in loss_views(trajectory, timesteps, top_k):
+    for view, state, cand, w in views:
         ll = memo.get(view) if memo is not None else None
         if ll is None:
             node_type, observed = observed_step(graph, state, cand)
@@ -139,8 +149,7 @@ def denoiser_loss(graph: LabeledGraph, trajectory: DiffusionTrajectory,
                 memo[view] = ll
         term = ll * w
         total = term if total is None else total + term
-    scaled = total * (-float(n) / len(timesteps))
-    return scaled if tape is not None else scaled.item()
+    return total
 
 
 def compute_reward(graph: LabeledGraph, trajectory: DiffusionTrajectory,

@@ -453,6 +453,18 @@ class TestBadCounts:
         assert "--count" in _one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--samples", 0), ("--samples", -2),
+                                             ("--exact-max", -1)])
+    def test_nll_rejects_a_bad_count_before_the_checkpoint_loads(self, tmp_path, capsys,
+                                                                 flag, value):
+        out = tmp_path / "nll.jsonl"
+        args = {"--samples": 2, "--exact-max": 0, flag: value}
+        assert run(["nll", "--checkpoint", tmp_path / "missing.ckpt", "--corpus",
+                    tmp_path / "missing.jsonl", "--out", out,
+                    *[a for kv in args.items() for a in kv]]) == 1
+        assert flag in _one_error_line(capsys)
+        assert not out.exists()
+
 
 class TestBadValFraction:
     @pytest.mark.parametrize("value", [7, -1, 0, 1])

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import agd.likelihood as likelihood
 from agd.autodiff import Tape
-from agd.denoiser import DenoiserConfig, DenoiserNet
-from agd.graphs import denoising_view, forward_trajectory, new_graph
+from agd.denoiser import STACK_PAIR_BUDGET, DenoiserConfig, DenoiserNet
+from agd.graphs import DenoisingView, denoising_view, forward_trajectory, new_graph
 from agd.likelihood import (NllEstimate, exact_marginal, expected_nll,
                             is_marginal_likelihood, ordering_kl_diagnostic,
                             trajectory_nll)
@@ -174,11 +175,14 @@ class TestOrderingKlDiagnostic:
 
 
 def count_step_log_likelihoods(monkeypatch):
+    """Record each view `step_log_likelihood` computes; a stacked call adds
+    each of its views."""
     calls = []
     original = DenoiserNet.step_log_likelihood
 
     def counted(self, *args, **kwargs):
-        calls.append(args[0])
+        view = args[0]
+        calls.extend([view] if isinstance(view, DenoisingView) else view)
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(DenoiserNet, "step_log_likelihood", counted)
@@ -243,6 +247,59 @@ class TestStepMemo:
         exact_marginal(model, g)
         assert len(calls) == views == n * 2 ** (n - 1)
         assert len(set(calls)) == views
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_exact_marginal_makes_one_call_per_view_size(self, monkeypatch, n):
+        model = tiny_model(num_node_types=2, num_edge_types=3, seed=61)
+        g = typed_graph(n, seed=7)
+        sizes = []
+        original = DenoiserNet.step_log_likelihood
+
+        def counted(self, views, *args, **kwargs):
+            sizes.append({v.size for v in views})
+            return original(self, views, *args, **kwargs)
+
+        monkeypatch.setattr(DenoiserNet, "step_log_likelihood", counted)
+        exact_marginal(model, g)
+        assert sorted(s for (s,) in sizes) == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("aggregator", ["gat", "gru-gate"])
+    def test_exact_marginal_equals_unmemoized_sum_at_default_widths(self, monkeypatch,
+                                                                    aggregator):
+        model = ModelBundle.init(
+            OrderingConfig(num_node_types=2, layers=1, heads=2, hidden=3,
+                           embed_dim=4, pe_dim=4),
+            DenoiserConfig(num_node_types=2, num_edge_types=3, aggregator=aggregator),
+            np.random.default_rng(69))
+        g = typed_graph(4, seed=17)
+        nlls = {}
+
+        def recorded(model, graph, ordering, *args, **kwargs):
+            nlls[ordering] = trajectory_nll(model, graph, ordering, *args, **kwargs)
+            return nlls[ordering]
+
+        monkeypatch.setattr(likelihood, "trajectory_nll", recorded)
+        assert exact_marginal(model, g).nats == reference_exact_marginal(model, g)
+        # the final log-sum-exp can hide a last-bit change; each ordering cannot
+        assert len(nlls) == 24
+        assert all(nll == trajectory_nll(model, g, sigma) for sigma, nll in nlls.items())
+
+    def test_exact_marginal_stacks_stay_within_the_pair_budget(self, monkeypatch):
+        model = tiny_model(num_node_types=2, num_edge_types=3, seed=71)
+        g = typed_graph(6, seed=19)
+        stacks = []
+        original = DenoiserNet._stack_trunk
+
+        def recorded(self, views, tape):
+            stacks.append((len(views), views[0].size))
+            return original(self, views, tape)
+
+        monkeypatch.setattr(DenoiserNet, "_stack_trunk", recorded)
+        exact_marginal(model, g)
+        assert all(b * m * m <= STACK_PAIR_BUDGET for b, m in stacks)
+        # the 60 views of size 4 (960 pairs) are split across stacks
+        size4 = [b for b, m in stacks if m == 4]
+        assert sum(size4) == 60 and len(size4) > 1
 
     def test_trajectory_nll_through_a_shared_memo_is_unchanged(self):
         model = tiny_model(num_node_types=2, num_edge_types=3, seed=63)
