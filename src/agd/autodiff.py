@@ -4,6 +4,14 @@ Small by design: enough operations for attention-style message passing,
 GRU updates and categorical heads, at graph sizes where clarity beats speed.
 Reductions over an axis sum their inputs in sorted order, so any computation
 whose inputs are a permutation of another's produces bit-identical values.
+
+Memory rule: a backward closure holds arrays, shapes and indices, never a
+`Tensor`, and the tape keeps node ids, not tensors. A tracked tensor points
+to its tape, so one captured tensor would make the tape a reference cycle
+that only the cyclic garbage collector frees. Without cycles, a tape and
+every activation its closures hold are freed by reference counting as soon
+as the last tensor recorded on it is dropped; `training.fit` relies on this
+to hold one tape at a time.
 """
 
 from __future__ import annotations
@@ -81,23 +89,20 @@ class Tape:
         self._entries: list[tuple[tuple[int, ...], object]] = []
         self._param_nodes: dict[str, int] = {}
         self._param_shapes: dict[str, tuple] = {}
-        self._watch_cache: dict[str, "Tensor"] = {}
 
     def _add(self, parent_ids: tuple[int, ...], vjp) -> int:
         self._entries.append((parent_ids, vjp))
         return len(self._entries) - 1
 
     def watch(self, param: Parameter) -> "Tensor":
-        """Lift a parameter onto the tape (idempotent per parameter name)."""
-        cached = self._watch_cache.get(param.name)
-        if cached is not None:
-            return cached
-        nid = self._add((), None)
-        self._param_nodes[param.name] = nid
-        self._param_shapes[param.name] = param.data.shape
-        t = Tensor(param.data, self, nid)
-        self._watch_cache[param.name] = t
-        return t
+        """Lift a parameter onto the tape (idempotent per parameter name: every
+        call returns a tensor on the same node)."""
+        nid = self._param_nodes.get(param.name)
+        if nid is None:
+            nid = self._add((), None)
+            self._param_nodes[param.name] = nid
+            self._param_shapes[param.name] = param.data.shape
+        return Tensor(param.data, self, nid)
 
     def register(self, param: Parameter) -> None:
         """Register a parameter so backward reports a gradient even if unused."""
@@ -225,18 +230,20 @@ def _result(data, inputs: list[Tensor], vjps: list) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
     return _result(out, [a, b], [
-        lambda g: _unbroadcast(g, a.data.shape),
-        lambda g: _unbroadcast(g, b.data.shape),
+        lambda g: _unbroadcast(g, sa),
+        lambda g: _unbroadcast(g, sb),
     ])
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
     return _result(out, [a, b], [
-        lambda g: _unbroadcast(g, a.data.shape),
-        lambda g: _unbroadcast(-g, b.data.shape),
+        lambda g: _unbroadcast(g, sa),
+        lambda g: _unbroadcast(-g, sb),
     ])
 
 
@@ -247,10 +254,11 @@ def neg(a) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
     return _result(out, [a, b], [
-        lambda g: _unbroadcast(g * b.data, a.data.shape),
-        lambda g: _unbroadcast(g * a.data, b.data.shape),
+        lambda g: _unbroadcast(g * bd, ad.shape),
+        lambda g: _unbroadcast(g * ad, bd.shape),
     ])
 
 
@@ -259,33 +267,34 @@ def matmul(a, b) -> Tensor:
     (B, ..., m, k) with one (k, n) matrix. numpy multiplies a stack slice by
     slice, so each slice of the result has the bits of its own product."""
     a, b = as_tensor(a), as_tensor(b)
-    an, bn = a.data.ndim, b.data.ndim
+    ad, bd = a.data, b.data
+    an, bn = ad.ndim, bd.ndim
     if an == 0 or bn not in (1, 2) or (an > 2 and bn != 2):
         raise ShapeError("matmul requires 1-D or 2-D operands, or a stack and a matrix")
     try:
-        out = a.data @ b.data
+        out = ad @ bd
     except ValueError as exc:
         raise ShapeError(str(exc)) from None
 
     def grad_a(g):
         if an >= 2 and bn == 2:
-            return g @ b.data.T
+            return g @ bd.T
         if an == 1 and bn == 2:
-            return b.data @ g
+            return bd @ g
         if an == 2 and bn == 1:
-            return np.outer(g, b.data)
-        return g * b.data  # 1-D @ 1-D
+            return np.outer(g, bd)
+        return g * bd  # 1-D @ 1-D
 
     def grad_b(g):
         if an > 2:
-            return a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         if an == 2 and bn == 2:
-            return a.data.T @ g
+            return ad.T @ g
         if an == 1 and bn == 2:
-            return np.outer(a.data, g)
+            return np.outer(ad, g)
         if an == 2 and bn == 1:
-            return a.data.T @ g
-        return g * a.data
+            return ad.T @ g
+        return g * ad
 
     return _result(out, [a, b], [grad_a, grad_b])
 
@@ -347,13 +356,14 @@ def rows(a, ids) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError("rows expects a tensor of at least two axes")
     ids = np.asarray(ids, dtype=int)
-    table = a.data.reshape(-1, a.data.shape[-1])
+    shape = a.data.shape
+    table = a.data.reshape(-1, shape[-1])
     out = table[ids]
 
     def vjp(g):
         acc = np.zeros_like(table)
         np.add.at(acc, ids, g)
-        return acc.reshape(a.data.shape)
+        return acc.reshape(shape)
 
     return _result(out, [a], [vjp])
 
@@ -364,10 +374,11 @@ def take(a, ids) -> Tensor:
     if a.data.ndim != 1:
         raise ShapeError("take expects a 1-D tensor")
     ids = np.asarray(ids, dtype=int)
-    out = a.data[ids]
+    data = a.data
+    out = data[ids]
 
     def vjp(g):
-        acc = np.zeros_like(a.data)
+        acc = np.zeros_like(data)
         np.add.at(acc, ids, g)
         return acc
 
@@ -379,13 +390,14 @@ def pick(a, i: int) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 1:
         raise ShapeError("pick expects a 1-D tensor")
+    data = a.data
 
     def vjp(g):
-        acc = np.zeros_like(a.data)
+        acc = np.zeros_like(data)
         acc[i] = g
         return acc
 
-    return _result(a.data[i], [a], [vjp])
+    return _result(data[i], [a], [vjp])
 
 
 def relu(a) -> Tensor:
@@ -422,12 +434,13 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
+    data = a.data
     with np.errstate(divide="raise", invalid="raise"):
         try:
-            out = np.log(a.data)
+            out = np.log(data)
         except FloatingPointError:
             raise NonFiniteError("log of a non-positive value") from None
-    return _result(out, [a], [lambda g: g / a.data])
+    return _result(out, [a], [lambda g: g / data])
 
 
 def tsum(a, axis=None) -> Tensor:
@@ -515,10 +528,11 @@ def einsum(spec: str, a, b) -> Tensor:
                          f"{b.data.shape} disagree on an index")
     if not set(out_idx) <= set(sizes):
         raise ShapeError(f"einsum {spec!r} outputs an index no operand has")
-    out = np.einsum(f"{ia},{ib}->{out_idx}", a.data, b.data)
+    ad, bd = a.data, b.data
+    out = np.einsum(f"{ia},{ib}->{out_idx}", ad, bd)
     return _result(out, [a, b], [
-        lambda g: np.einsum(f"{out_idx},{ib}->{ia}", g, b.data),
-        lambda g: np.einsum(f"{out_idx},{ia}->{ib}", g, a.data),
+        lambda g: np.einsum(f"{out_idx},{ib}->{ia}", g, bd),
+        lambda g: np.einsum(f"{out_idx},{ia}->{ib}", g, ad),
     ])
 
 

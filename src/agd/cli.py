@@ -197,6 +197,8 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     from .metrics import descriptors_csv
 
+    if not (np.isfinite(args.sigma) and args.sigma > 0):
+        raise CliError(f"--sigma must be finite and > 0, got {args.sigma}")
     generated = load_corpus(args.generated)
     reference = load_corpus(args.reference)
     if not generated.graphs or not reference.graphs:

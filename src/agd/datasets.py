@@ -261,12 +261,19 @@ def load_corpus(path) -> Corpus:
                 continue
             try:
                 doc = json.loads(line)
+                if not isinstance(doc, dict):
+                    raise GraphError(f"expected a JSON object, got {type(doc).__name__}")
+                if not isinstance(doc.get("nodes"), list):
+                    raise GraphError("'nodes' must be a list of node types")
+                edges = doc.get("edges", [])
+                if not (isinstance(edges, list) and all(isinstance(e, list) for e in edges)):
+                    raise GraphError("'edges' must be a list of [i, j, type] triples")
                 line_meta = doc.get("meta", {})
-                g = new_graph(doc["nodes"],
-                              [tuple(e) for e in doc.get("edges", [])],
-                              line_meta.get("num_node_types"),
+                if not isinstance(line_meta, dict):
+                    raise GraphError("'meta' must be an object")
+                g = new_graph(doc["nodes"], edges, line_meta.get("num_node_types"),
                               line_meta.get("num_edge_types"))
-            except (GraphError, KeyError, ValueError, TypeError) as exc:
+            except (GraphError, ValueError, RecursionError) as exc:
                 raise GraphError(f"{path}:{lineno}: {exc}") from None
             graphs.append(g)
             num_node_types = max(num_node_types, g.num_node_types)

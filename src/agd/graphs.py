@@ -73,17 +73,28 @@ class LabeledGraph:
                 and self.edges == other.edges)
 
 
+def _integer(value, what: str) -> int:
+    # int() would truncate 1.5 and parse "1"; bool is an int subclass.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def new_graph(node_types, edge_list, num_node_types: int | None = None,
               num_edge_types: int | None = None) -> LabeledGraph:
-    """Validated construction from a type list and (i, j, type) triples."""
-    node_types = tuple(int(t) for t in node_types)
+    """Validated construction from a type list and (i, j, type) triples of
+    integers (python or numpy)."""
+    node_types = tuple(_integer(t, "node type") for t in node_types)
     n = len(node_types)
     if n == 0:
         raise GraphError("graph needs at least one node")
     edges: dict[tuple[int, int], int] = {}
     max_edge_type = 0
-    for (i, j, k) in edge_list:
-        i, j, k = int(i), int(j), int(k)
+    for edge in edge_list:
+        if len(edge) != 3:
+            raise GraphError(f"edge {edge!r} is not an (i, j, type) triple")
+        i, j = _integer(edge[0], "edge endpoint"), _integer(edge[1], "edge endpoint")
+        k = _integer(edge[2], "edge type")
         if not (0 <= i < n and 0 <= j < n):
             raise GraphError(f"edge ({i},{j}) out of range for n={n}")
         if i == j:
@@ -97,8 +108,10 @@ def new_graph(node_types, edge_list, num_node_types: int | None = None,
         max_edge_type = max(max_edge_type, k)
     if num_node_types is None:
         num_node_types = max(node_types) + 1
+    num_node_types = _integer(num_node_types, "num_node_types")
     if num_edge_types is None:
         num_edge_types = max_edge_type + 1
+    num_edge_types = _integer(num_edge_types, "num_edge_types")
     for t in node_types:
         if not (0 <= t < num_node_types):
             raise GraphError(f"node type {t} outside vocabulary of size {num_node_types}")

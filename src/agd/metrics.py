@@ -141,6 +141,8 @@ def mmd(set_a, set_b, kind: str, sigma: float = 1.0) -> float:
     exp(-d(x, y)^2 / (2 sigma^2)); identical sets give exactly zero."""
     if not set_a or not set_b:
         raise ValueError("mmd needs two non-empty graph sets")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     da = [descriptor(g, kind) for g in set_a]
     db = [descriptor(g, kind) for g in set_b]
 

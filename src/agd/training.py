@@ -158,6 +158,22 @@ def compute_reward(graph: LabeledGraph, trajectory: DiffusionTrajectory,
     return denoiser_loss(graph, trajectory, timesteps, denoiser, top_k, tape=None)
 
 
+def _accumulate_gradients(acc: dict, params: dict, loss_fn, scale=None) -> float:
+    """Add the gradients of `loss_fn(tape)` over every parameter in `params`,
+    times `scale` when given, to `acc`; return the loss value. The tape, its
+    activations and the gradients die on return, so a caller looping over
+    trajectories holds one tape at a time."""
+    tape = Tape()
+    for p in params.values():
+        tape.register(p)
+    loss = loss_fn(tape)
+    for name, g in tape.gradients(loss).items():
+        if scale is not None:
+            g = scale * g
+        acc[name] = acc[name] + g if name in acc else g
+    return loss.item()
+
+
 def reinforce_gradient(ordering_net: OrderingNet, items, baseline: float,
                        trajectories_per_graph: int) -> dict[str, np.ndarray]:
     """(1/M) sum over (graph, ordering, reward) of (R - baseline) grad log q."""
@@ -165,17 +181,10 @@ def reinforce_gradient(ordering_net: OrderingNet, items, baseline: float,
         raise ValueError("no trajectories to learn from")
     acc: dict[str, np.ndarray] = {}
     for graph, ordering, reward in items:
-        tape = Tape()
-        for p in ordering_net.params.values():
-            tape.register(p)
-        logq = ordering_net.ordering_log_prob(graph, ordering, tape)
-        grads = tape.gradients(logq)
-        scale = (reward - baseline) / trajectories_per_graph
-        for name, g in grads.items():
-            if name in acc:
-                acc[name] = acc[name] + scale * g
-            else:
-                acc[name] = scale * g
+        _accumulate_gradients(
+            acc, ordering_net.params,
+            lambda tape: ordering_net.ordering_log_prob(graph, ordering, tape),
+            (reward - baseline) / trajectories_per_graph)
     return acc
 
 
@@ -239,36 +248,34 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
         if path not in checkpoints:
             checkpoints.append(path)
 
+    def denoiser_step(batch) -> float:
+        """One Adam step of the denoiser on a minibatch; the mean loss. The
+        accumulated gradients die on return, before the ordering phase."""
+        grads_acc: dict[str, np.ndarray] = {}
+        batch_loss = 0.0
+        terms = 0
+        for gi in batch:
+            graph = train_graphs[gi]
+            for _ in range(config.trajectories):
+                traj = sample_traj(graph)
+                ts = _sample_timesteps(graph.n, config.timesteps, rng)
+                batch_loss += _accumulate_gradients(
+                    grads_acc, model.denoiser.params,
+                    lambda tape: denoiser_loss(graph, traj, ts, model.denoiser,
+                                               config.soft_label_top_k, tape))
+                terms += 1
+        scale = 1.0 / config.trajectories
+        grads_acc = {k: v * scale for k, v in grads_acc.items()}
+        adam_step(model.denoiser.params, grads_acc, model.adam_denoiser)
+        return batch_loss / terms
+
     try:
         for epoch in range(config.epochs):
             order = rng.permutation(len(train_graphs))
             epoch_losses = []
             for batch in _minibatches(list(order), config.batch_size):
-                grads_acc: dict[str, np.ndarray] = {}
-                batch_loss = 0.0
-                terms = 0
-                for gi in batch:
-                    graph = train_graphs[gi]
-                    for _ in range(config.trajectories):
-                        traj = sample_traj(graph)
-                        ts = _sample_timesteps(graph.n, config.timesteps, rng)
-                        tape = Tape()
-                        for p in model.denoiser.params.values():
-                            tape.register(p)
-                        loss = denoiser_loss(graph, traj, ts, model.denoiser,
-                                             config.soft_label_top_k, tape)
-                        for name, g in tape.gradients(loss).items():
-                            if name in grads_acc:
-                                grads_acc[name] = grads_acc[name] + g
-                            else:
-                                grads_acc[name] = g
-                        batch_loss += loss.item()
-                        terms += 1
-                scale = 1.0 / config.trajectories
-                grads_acc = {k: v * scale for k, v in grads_acc.items()}
-                adam_step(model.denoiser.params, grads_acc, model.adam_denoiser)
+                mean_loss = denoiser_step(batch)
                 theta_steps += 1
-                mean_loss = batch_loss / terms
                 epoch_losses.append(mean_loss)
                 report.step_losses.append(mean_loss)
                 log_records.append({"step": theta_steps, "loss": mean_loss,

@@ -1,3 +1,7 @@
+import gc
+import inspect
+import weakref
+
 import numpy as np
 import pytest
 
@@ -393,3 +397,82 @@ def test_finite_difference_on_random_composite_network():
         return ad.neg(ad.pick(ad.log(ad.softmax(scores)), 0))
 
     assert grad_check(fn, params, eps=1e-5) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# memory: reference counting alone frees a tape
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cyclic_gc_off():
+    """Only reference counting frees objects while the test runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _public_ops() -> set[str]:
+    non_ops = {"uniform_init", "as_tensor", "grad_check"}
+    return {name for name, obj in vars(ad).items()
+            if inspect.isfunction(obj) and obj.__module__ == ad.__name__
+            and not name.startswith("_") and name not in non_ops}
+
+
+def _loss_through_every_op(tape: Tape) -> Tensor:
+    rng = np.random.default_rng(50)
+    w = tape.watch(Parameter("w", rng.normal(size=(4, 4))))
+    v = tape.watch(Parameter("v", rng.normal(size=4)))
+    tape.register(Parameter("unused", np.ones(2)))
+    gru = {k: tape.watch(Parameter(k, rng.normal(size=(4, 4))))
+           for k in ("wz", "uz", "wr", "ur", "wc", "uc")}
+    gru.update({k: tape.watch(Parameter(k, rng.normal(size=4))) for k in ("bz", "br", "bc")})
+    h = ad.tanh(ad.matmul(w, v))
+    parts = [
+        ad.add(h, 1.0), ad.sub(h, v), ad.neg(h), ad.mul(h, v), h @ w,
+        ad.concat([h, v]), ad.stack([h, v]), ad.reshape(w, (2, 8)), ad.tile_row(v, 3),
+        ad.rows(w, [0, 2, 2]), ad.take(v, [1, 3, 1]), ad.pick(v, 2),
+        ad.relu(h), ad.leaky_relu(h), ad.sigmoid(h), ad.exp(h),
+        ad.log(ad.sigmoid(v)), ad.tmean(w, axis=0), ad.softmax(w, axis=-1),
+        ad.masked_softmax(w, np.array([True, False, True, True])),
+        ad.einsum("ij,j->i", w, v), ad.logsumexp(w, axis=1), ad.logsumexp(v),
+        ad.gru_cell(h, v, gru),
+    ]
+    total = ad.tsum(parts[0])
+    for part in parts[1:]:
+        total = total + ad.tsum(part)
+    return total
+
+
+class TestTapeFreedByReferenceCounting:
+    """Backward closures hold arrays, never a Tensor, and the tape keeps node
+    ids, so a tape is no reference cycle: it dies with its last tensor."""
+
+    def test_every_op_leaves_the_tape_acyclic(self, cyclic_gc_off, monkeypatch):
+        ops, called = _public_ops(), set()
+        for name in ops:
+            def counted(*args, _op=getattr(ad, name), _name=name, **kwargs):
+                called.add(_name)
+                return _op(*args, **kwargs)
+
+            monkeypatch.setattr(ad, name, counted)
+        tape = Tape()
+        grads = tape.gradients(_loss_through_every_op(tape))
+        freed = weakref.ref(tape)
+        del tape
+        assert called == ops
+        assert np.array_equal(grads["unused"], np.zeros(2))
+        assert all(np.isfinite(g).all() for g in grads.values())
+        assert freed() is None
+
+    def test_a_live_tensor_keeps_its_tape(self, cyclic_gc_off):
+        tape = Tape()
+        y = ad.exp(tape.watch(Parameter("w", np.ones(3))))
+        freed = weakref.ref(tape)
+        del tape
+        assert freed() is not None
+        assert y.tape is freed()
+        del y
+        assert freed() is None

@@ -466,6 +466,31 @@ class TestBadCounts:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_evaluate_rejects_a_bad_sigma_before_loading_a_corpus(self, tmp_path, capsys,
+                                                                  value):
+        out = tmp_path / "eval.json"
+        assert run(["evaluate", "--generated", tmp_path / "missing.jsonl",
+                    "--reference", tmp_path / "missing.jsonl", "--out", out,
+                    "--sigma", value]) == 1
+        assert "--sigma" in _one_error_line(capsys)
+        assert not out.exists()
+
+
+class TestMalformedCorpus:
+    @pytest.mark.parametrize("line", ["[1,2]", '{"nodes":[0,0],"meta":"x"}',
+                                      '{"nodes":[0,1.5]}'])
+    def test_every_corpus_reader_prints_one_error_line(self, tmp_path, capsys, line):
+        corpus = tmp_path / "list.jsonl"
+        corpus.write_text(line + "\n")
+        outdir = tmp_path / "dot"
+        assert run(["export-dot", "--in", corpus, "--out", outdir]) == 1
+        assert f"{corpus}:1:" in _one_error_line(capsys)
+        assert run(["evaluate", "--generated", corpus, "--reference", corpus,
+                    "--out", tmp_path / "eval.json"]) == 1
+        assert f"{corpus}:1:" in _one_error_line(capsys)
+
+
 class TestBadValFraction:
     @pytest.mark.parametrize("value", [7, -1, 0, 1])
     def test_one_error_line_before_the_checkpoint_dir(self, tmp_path, capsys, value):

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from agd.datasets import (TYPED_TOY_NODE_TYPE_PROBS, Corpus, export_dot,
                           export_trace_dot, gen_caveman, gen_community_small,
                           gen_ego, gen_er, gen_typed_toy, load_corpus,
                           save_corpus, split)
 from agd.generate import GenerationTrace, StepRecord
-from agd.graphs import GraphError, new_graph
+from agd.graphs import GraphError, LabeledGraph, new_graph
 from agd.metrics import spectral_bipartition
 
 
@@ -229,6 +231,75 @@ class TestCorpusIO:
         with pytest.raises(GraphError) as err:
             load_corpus(path)
         assert ":1:" in str(err.value)
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 5) | st.integers()
+                 | st.floats() | st.text(max_size=3))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4),
+                                                                inner, max_size=3),
+    max_leaves=10)
+_INDEX = st.integers(-1, 4) | _JSON_SCALARS
+_CORPUS_LINES = st.fixed_dictionaries({}, optional={
+    "nodes": st.lists(_INDEX, max_size=5) | _JSON_VALUES,
+    "edges": st.lists(st.lists(_INDEX, min_size=2, max_size=4) | _JSON_VALUES,
+                      max_size=4) | _JSON_VALUES,
+    "meta": st.fixed_dictionaries({}, optional={"num_node_types": _INDEX,
+                                                "num_edge_types": _INDEX,
+                                                "generator": _JSON_VALUES})
+    | _JSON_VALUES,
+}) | _JSON_VALUES | st.fixed_dictionaries({
+    "nodes": st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    "edges": st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), max_size=4),
+})
+
+
+class TestMalformedCorpusLines:
+    """A corpus line either loads or raises GraphError naming path:line."""
+
+    @pytest.mark.parametrize("line", [
+        "[1,2]", '{"nodes":[0,0],"meta":"x"}', "null", "3", '"nodes"',
+        '{"edges":[]}', '{"nodes":"01"}', '{"nodes":{"0":0}}',
+        '{"nodes":[1.5]}', '{"nodes":[true]}', '{"nodes":["1"]}',
+        '{"nodes":[0,0],"edges":[[0,1,1.5]]}', '{"nodes":[0,0],"edges":[[0,true,1]]}',
+        '{"nodes":[0,0],"edges":[["0",1,1]]}', '{"nodes":[0,0],"edges":[0,1,1]}',
+        '{"nodes":[0,0],"edges":[[0,1]]}', '{"nodes":[0,0],"edges":{"0":[0,1,1]}}',
+        '{"nodes":[0],"meta":{"num_node_types":1.5}}',
+        '{"nodes":[0],"meta":{"num_edge_types":"2"}}',
+    ])
+    def test_rejected_with_its_line_number(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"nodes": [0]}) + "\n" + line + "\n")
+        with pytest.raises(GraphError, match=f"^{path}:2: "):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("nodes, edges", [
+        ([0, 1.0], []), ([0, True], []), ([0, "1"], []),
+        ([0, 0], [(0, 1, 1.5)]), ([0, 0], [(0.0, 1, 1)]), ([0, 0], [(0, np.True_, 1)]),
+    ])
+    def test_new_graph_rejects_non_integers(self, nodes, edges):
+        with pytest.raises(GraphError, match="must be an integer"):
+            new_graph(nodes, edges)
+
+    def test_new_graph_accepts_numpy_integers(self):
+        g = new_graph(np.array([0, 1, 1]), [(np.int64(0), np.int32(2), np.uint8(1))],
+                      np.int64(2), 2)
+        assert g == new_graph([0, 1, 1], [(0, 2, 1)], 2, 2)
+        assert all(type(t) is int for t in g.node_types)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_CORPUS_LINES)
+    def test_any_json_line_loads_or_raises_graph_error(self, tmp_path, doc):
+        path = tmp_path / "line.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        try:
+            corpus = load_corpus(path)
+        except GraphError as exc:
+            assert str(exc).startswith(f"{path}:1: ")
+        else:
+            assert len(corpus) == 1 and isinstance(corpus.graphs[0], LabeledGraph)
 
 
 class TestDotExport:

@@ -284,6 +284,28 @@ class TestStepMemo:
         assert len(nlls) == 24
         assert all(nll == trajectory_nll(model, g, sigma) for sigma, nll in nlls.items())
 
+    @pytest.mark.parametrize("aggregator", ["gat", "gru-gate"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_each_ordering_nll_equals_memo_free_at_tiny_widths(self, monkeypatch,
+                                                               aggregator, n):
+        model = ModelBundle.init(
+            OrderingConfig(num_node_types=2, layers=1, heads=2, hidden=3,
+                           embed_dim=4, pe_dim=4),
+            DenoiserConfig(num_node_types=2, num_edge_types=3, layers=1, hidden=5,
+                           mlp_hidden=6, mixtures=2, aggregator=aggregator),
+            np.random.default_rng(80 + n))
+        g = typed_graph(n, seed=20 + n)
+        nlls = {}
+
+        def recorded(model, graph, ordering, *args, **kwargs):
+            nlls[ordering] = trajectory_nll(model, graph, ordering, *args, **kwargs)
+            return nlls[ordering]
+
+        monkeypatch.setattr(likelihood, "trajectory_nll", recorded)
+        exact_marginal(model, g)
+        assert len(nlls) == math.factorial(n)
+        assert all(nll == trajectory_nll(model, g, sigma) for sigma, nll in nlls.items())
+
     def test_exact_marginal_stacks_stay_within_the_pair_budget(self, monkeypatch):
         model = tiny_model(num_node_types=2, num_edge_types=3, seed=71)
         g = typed_graph(6, seed=19)

@@ -207,6 +207,11 @@ class TestMmd:
         with pytest.raises(ValueError):
             mmd([], [K3], "degree")
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be finite and > 0"):
+            mmd([K3], [K3], "degree", sigma)
+
     def test_report_average(self):
         rng = np.random.default_rng(7)
         a = [random_untyped(rng, 6) for _ in range(3)]

@@ -1,9 +1,12 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import agd.training as training
 from agd.autodiff import Tape, grad_check
 from agd.denoiser import DenoiserConfig, DenoiserNet
 from agd.graphs import forward_trajectory, new_graph, permute
@@ -285,6 +288,67 @@ class TestFit:
         for line in lines:
             rec = json.loads(line)
             assert {"step", "loss", "reward", "timestamp"} <= set(rec)
+
+
+class TestOneTapeAtATime:
+    """fit frees each trajectory's tape, and the denoiser's gradients, before
+    the next forward starts, by reference counting alone."""
+
+    @staticmethod
+    def _gru_model():
+        return ModelBundle.init(
+            OrderingConfig(num_node_types=1, layers=1, heads=2, hidden=3,
+                           embed_dim=4, pe_dim=4),
+            DenoiserConfig(num_node_types=1, num_edge_types=2, layers=1, hidden=5,
+                           mlp_hidden=6, mixtures=2, aggregator="gru-gate"),
+            np.random.default_rng(43))
+
+    @staticmethod
+    def _fit(model):
+        path = new_graph([0] * 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)], 1, 2)
+        cfg = TrainConfig(epochs=2, batch_size=2, trajectories=4, seed=3)
+        return fit([triangle(), path], [path], model, cfg)
+
+    def test_no_tape_outlives_its_trajectory_without_the_cyclic_gc(self, monkeypatch):
+        tapes, alive_at_creation = [], []
+        init = Tape.__init__
+
+        def tracked_init(self):
+            alive_at_creation.append(sum(ref() is not None for ref in tapes))
+            init(self)
+            tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(Tape, "__init__", tracked_init)
+        model = self._gru_model()
+        gc.collect()
+        gc.disable()
+        try:
+            self._fit(model)
+            cyclic = gc.collect()
+        finally:
+            gc.enable()
+        # per epoch: 2 graphs x 4 denoiser trajectories, 1 graph x 4 REINFORCE
+        assert len(tapes) == 2 * (2 * 4 + 1 * 4)
+        assert alive_at_creation == [0] * len(tapes)
+        assert cyclic == 0
+
+    def test_denoiser_gradients_are_freed_before_the_ordering_phase(self, monkeypatch):
+        model, stepped, checked = self._gru_model(), [], []
+        adam_step, reinforce_gradient = training.adam_step, training.reinforce_gradient
+
+        def recorded_adam_step(params, grads, state):
+            if params is model.denoiser.params:
+                stepped.extend(weakref.ref(g) for g in grads.values())
+            return adam_step(params, grads, state)
+
+        def checked_reinforce_gradient(*args, **kwargs):
+            checked.append(sum(ref() is not None for ref in stepped))
+            return reinforce_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", recorded_adam_step)
+        monkeypatch.setattr(training, "reinforce_gradient", checked_reinforce_gradient)
+        self._fit(model)
+        assert stepped and checked == [0, 0]
 
 
 class TestCheckpointRoundTrip:
