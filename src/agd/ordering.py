@@ -184,19 +184,36 @@ class OrderingNet:
     def sample_ordering(self, graph: LabeledGraph,
                         rng: np.random.Generator) -> DiffusionTrajectory:
         """Draw a full absorption ordering; records per-step log q and weights."""
-        ordering: list[int] = []
-        step_log_probs: list[float] = []
-        step_weights: list[dict[int, float]] = []
+        return self.sample_orderings(graph, rng, 1)[0]
+
+    def sample_orderings(self, graph: LabeledGraph, rng: np.random.Generator,
+                         count: int) -> list[DiffusionTrajectory]:
+        """Draw `count` full absorption orderings in turn, each recording its
+        per-step log q and weights. Each prefix's step distribution is
+        computed once per call, however many draws reach it, and its weights
+        dict is shared by the trajectories that pass through that prefix."""
         weights = self.layer_weights()
-        for _ in range(graph.n):
-            remaining, logp = self.step_log_probs(graph, ordering, weights=weights)
-            probs = np.exp(logp.data)
-            step_weights.append({v: float(p) for v, p in zip(remaining, probs)})
-            idx = int(rng.choice(len(remaining), p=probs / probs.sum()))
-            ordering.append(remaining[idx])
-            step_log_probs.append(float(logp.data[idx]))
-        return forward_trajectory(graph, ordering, tuple(step_log_probs),
-                                  tuple(step_weights))
+        steps: dict[tuple, tuple] = {}
+        trajectories = []
+        for _ in range(count):
+            prefix: tuple = ()
+            step_log_probs: list[float] = []
+            step_weights: list[dict[int, float]] = []
+            for _ in range(graph.n):
+                step = steps.get(prefix)
+                if step is None:
+                    remaining, logp = self.step_log_probs(graph, prefix, weights=weights)
+                    probs = np.exp(logp.data)
+                    step = steps[prefix] = (remaining, probs, logp.data,
+                                            {v: float(p) for v, p in zip(remaining, probs)})
+                remaining, probs, logp, step_weight = step
+                step_weights.append(step_weight)
+                idx = int(rng.choice(len(remaining), p=probs / probs.sum()))
+                prefix += (remaining[idx],)
+                step_log_probs.append(float(logp[idx]))
+            trajectories.append(forward_trajectory(graph, prefix, tuple(step_log_probs),
+                                                   tuple(step_weights)))
+        return trajectories
 
     def ordering_log_prob(self, graph: LabeledGraph, ordering,
                           tape: Tape | None = None) -> Tensor:

@@ -235,10 +235,15 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
     baseline_value: float | None = None
     theta_steps = 0
 
-    def sample_traj(graph):
-        if config.uniform_ordering:
-            return uniform_trajectory(graph, rng)
-        return model.ordering.sample_ordering(graph, rng)
+    def draws(graphs, batch):
+        """(graph, trajectory, timesteps) for M trajectories per graph of the
+        batch; the caller's work between draws consumes no rng."""
+        for gi in batch:
+            graph = graphs[gi]
+            for _ in range(config.trajectories):
+                traj = (uniform_trajectory(graph, rng) if config.uniform_ordering
+                        else model.ordering.sample_ordering(graph, rng))
+                yield graph, traj, _sample_timesteps(graph.n, config.timesteps, rng)
 
     def save_ckpt():
         if checkpoint_dir is None:
@@ -254,16 +259,12 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
         grads_acc: dict[str, np.ndarray] = {}
         batch_loss = 0.0
         terms = 0
-        for gi in batch:
-            graph = train_graphs[gi]
-            for _ in range(config.trajectories):
-                traj = sample_traj(graph)
-                ts = _sample_timesteps(graph.n, config.timesteps, rng)
-                batch_loss += _accumulate_gradients(
-                    grads_acc, model.denoiser.params,
-                    lambda tape: denoiser_loss(graph, traj, ts, model.denoiser,
-                                               config.soft_label_top_k, tape))
-                terms += 1
+        for graph, traj, ts in draws(train_graphs, batch):
+            batch_loss += _accumulate_gradients(
+                grads_acc, model.denoiser.params,
+                lambda tape: denoiser_loss(graph, traj, ts, model.denoiser,
+                                           config.soft_label_top_k, tape))
+            terms += 1
         scale = 1.0 / config.trajectories
         grads_acc = {k: v * scale for k, v in grads_acc.items()}
         adam_step(model.denoiser.params, grads_acc, model.adam_denoiser)
@@ -289,15 +290,11 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
                 for batch in _minibatches(list(val_order), config.val_batch_size):
                     items = []
                     rewards = []
-                    for gi in batch:
-                        graph = val_graphs[gi]
-                        for _ in range(config.trajectories):
-                            traj = sample_traj(graph)
-                            ts = _sample_timesteps(graph.n, config.timesteps, rng)
-                            r = compute_reward(graph, traj, ts, model.denoiser,
-                                               config.soft_label_top_k)
-                            items.append((graph, traj.ordering, r))
-                            rewards.append(r)
+                    for graph, traj, ts in draws(val_graphs, batch):
+                        r = compute_reward(graph, traj, ts, model.denoiser,
+                                           config.soft_label_top_k)
+                        items.append((graph, traj.ordering, r))
+                        rewards.append(r)
                     mean_r = float(np.mean(rewards))
                     if config.baseline:
                         if baseline_value is None:

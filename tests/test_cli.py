@@ -46,6 +46,13 @@ class TestMakeDataset:
                         "--count", 4, "--seed", 9, "--out", out]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_count_rejected_without_writing(self, tmp_path, capsys):
+        out = tmp_path / "neg.jsonl"
+        assert run(["make-dataset", "--kind", "caveman", "--count", -1,
+                    "--seed", 1, "--out", out]) == 1
+        assert "--count" in _one_error_line(capsys)
+        assert not out.exists()
+
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["make-dataset", "--kind", "nope", "--count", 1,
@@ -216,6 +223,20 @@ class TestNll:
         rec = json.loads(out.read_text().strip())
         assert "exact_nll" in rec
         assert rec["expected_nll"] >= rec["exact_nll"] - 1e-9
+
+    def test_exact_max_at_its_bound_is_accepted(self, tmp_path, tiny_checkpoint):
+        corpus = tmp_path / "c.jsonl"
+        from agd.datasets import Corpus
+        from agd.graphs import new_graph
+        save_corpus(Corpus([new_graph([0, 0], [(0, 1, 1)], 1, 2),
+                            new_graph([0, 0, 0], [(0, 1, 1), (1, 2, 1)], 1, 2)], 1, 2),
+                    corpus)
+        out = tmp_path / "nll.jsonl"
+        assert run(["nll", "--checkpoint", tiny_checkpoint, "--corpus", corpus,
+                    "--samples", 3, "--exact-max", 8, "--out", out]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["n"] for r in records] == [2, 3]
+        assert all("exact_nll" in r for r in records)
 
 
 class TestAblate:
@@ -454,7 +475,7 @@ class TestBadCounts:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--samples", 0), ("--samples", -2),
-                                             ("--exact-max", -1)])
+                                             ("--exact-max", -1), ("--exact-max", 9)])
     def test_nll_rejects_a_bad_count_before_the_checkpoint_loads(self, tmp_path, capsys,
                                                                  flag, value):
         out = tmp_path / "nll.jsonl"

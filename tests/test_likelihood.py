@@ -113,6 +113,17 @@ class TestExactMarginal:
         # each ordering: p(edge) = 1/2, so the summed joint is exactly 1
         assert abs(exact_marginal(model, g).nats) < 1e-12
 
+    def test_never_runs_the_ordering_network(self, monkeypatch):
+        model = tiny_model(num_node_types=2, num_edge_types=3, seed=31)
+        g = typed_graph(4, seed=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact enumeration needs no ordering network")
+
+        monkeypatch.setattr(OrderingNet, "layer_weights", refuse)
+        monkeypatch.setattr(OrderingNet, "node_scores", refuse)
+        assert math.isfinite(exact_marginal(model, g).nats)
+
     def test_size_limit(self):
         model = tiny_model()
         g = new_graph([0] * 7, [], 1, 2)

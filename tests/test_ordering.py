@@ -207,6 +207,36 @@ class TestSampleOrdering:
             assert abs(counts[sigma] / draws - p) < 3 * se + 1e-12
 
 
+class TestSampleOrderings:
+    def test_equals_successive_single_draws(self):
+        net = tiny_net(seed=2)
+        g = new_graph([0, 1, 0, 1], [(0, 1, 1), (1, 2, 1), (2, 3, 2)], num_edge_types=3)
+        rng, rng2 = np.random.default_rng(11), np.random.default_rng(11)
+        many = net.sample_orderings(g, rng, 12)
+        single = [net.sample_ordering(g, rng2) for _ in range(12)]
+        for a, b in zip(many, single, strict=True):
+            assert a.ordering == b.ordering
+            assert a.step_log_probs == b.step_log_probs
+            assert a.step_weights == b.step_weights
+        assert rng.bit_generator.state == rng2.bit_generator.state
+
+    def test_scores_each_distinct_prefix_once(self, monkeypatch):
+        net = tiny_net(seed=4)
+        g = new_graph([0, 0, 0, 0], [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        prefixes = []
+        original = OrderingNet.node_scores
+
+        def counted(self, graph, prefix, *args, **kwargs):
+            prefixes.append(tuple(prefix))
+            return original(self, graph, prefix, *args, **kwargs)
+
+        monkeypatch.setattr(OrderingNet, "node_scores", counted)
+        drawn = net.sample_orderings(g, np.random.default_rng(5), 60)
+        reached = {t.ordering[:k] for t in drawn for k in range(g.n)}
+        assert len({t.ordering for t in drawn}) > 1
+        assert sorted(prefixes) == sorted(reached)
+
+
 class TestOrderingLogProb:
     def test_single_node_zero(self):
         net = tiny_net()
