@@ -82,11 +82,13 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
+        # values are literal: no %-interpolation
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read(path)
         except configparser.Error as exc:
-            raise ConfigError(f"malformed config: {exc}") from None
+            message = " ".join(line.strip() for line in str(exc).splitlines())
+            raise ConfigError(f"malformed config: {message}") from None
         values: dict[str, dict] = {}
         for section in parser.sections():
             if section not in _SCHEMA:
@@ -145,6 +147,8 @@ def _build(cls, section, keys, values, **extra):
 def _parse(section, key, kind, raw):
     raw = raw.strip()
     try:
+        if "\n" in raw:
+            raise ValueError(f"value spans more than one line: {raw!r}")
         if kind == "int":
             return int(raw)
         if kind == "float":

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor, gru_cell
-from .graphs import ABSENT, MASK, DenoisingView, GraphError
+from .graphs import ABSENT, MASK, DenoisingView, GraphError, check_config_numbers
 
 
 @dataclass
@@ -40,6 +40,11 @@ class DenoiserConfig:
 
     def __post_init__(self):
         # Each message starts with the field name; RunConfig maps it to its key.
+        check_config_numbers(self, ("num_node_types", "num_edge_types", "layers",
+                                    "hidden", "mlp_hidden", "mixtures"))
+        if not isinstance(self.edge_in_attention, bool):
+            raise ValueError("edge_in_attention must be a bool, "
+                             f"got {self.edge_in_attention!r}")
         if self.aggregator not in ("gat", "gru-gate"):
             raise ValueError("aggregator must be 'gat' or 'gru-gate', "
                              f"got {self.aggregator!r}")

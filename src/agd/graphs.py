@@ -7,6 +7,8 @@ denoising view, but is never stored in a base graph.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,11 +75,31 @@ class LabeledGraph:
                 and self.edges == other.edges)
 
 
-def _integer(value, what: str) -> int:
+def is_integer(value) -> bool:
     # int() would truncate 1.5 and parse "1"; bool is an int subclass.
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer(value, what: str) -> int:
+    if not is_integer(value):
         raise GraphError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_config_numbers(config, integer_fields) -> None:
+    """Reject a network config whose `integer_fields` hold a bool or a
+    non-integer, or whose `leaky_slope` is not a finite real number, as a
+    checkpoint header can give; each ValueError starts with the field name.
+    Integer fields are stored as python ints."""
+    for name in integer_fields:
+        value = getattr(config, name)
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        setattr(config, name, int(value))
+    slope = config.leaky_slope
+    if (isinstance(slope, bool) or not isinstance(slope, numbers.Real)
+            or not math.isfinite(slope)):
+        raise ValueError(f"leaky_slope must be a finite real number, got {slope!r}")
 
 
 def new_graph(node_types, edge_list, num_node_types: int | None = None,

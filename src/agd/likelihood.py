@@ -9,18 +9,19 @@ many draws reach it (an NLL consumes no rng, so the stream is that of
 successive `sample_ordering` calls); `exact_marginal` enumerates the n!
 permutations. `_ordering_nlls` then returns each distinct ordering's NLL.
 It builds the ordering's loss views once (`training.loss_views`, the views
-`denoiser_loss` reads), computes every distinct view into a step memo with
-one stacked `step_log_likelihood` call per view size, whose slices carry the
-bits of single views, and sums each ordering's NLL through that memo with
-`trajectory_nll`. At n=4 exact enumeration reaches 96 views of which 32 are
-distinct, computed in 4 calls.
+`denoiser_loss` reads), has `training.fill_step_memos` compute every
+distinct view into one step memo for the graph, with one stacked
+`step_log_likelihood` call per view size, and sums each ordering's NLL from
+the memo's floats with `trajectory_nll`. At n=4 exact enumeration reaches
+96 views of which 32 are distinct, computed in 4 calls.
 
 The memo is keyed by the `DenoisingView`. A view is fixed by the unmasked
 node set and the target, and within one graph those also fix the step's
 observed node type and edges, so the memo is valid for one graph and one
 denoiser, and only untaped: `denoiser_loss` refuses a memo together with a
-tape. The trajectory NLL still adds its per-step terms in timestep order, so
-an NLL read through the memo equals the one computed without it bit for bit.
+tape. The trajectory NLL adds its per-step terms as floats in timestep
+order, from the first term, so an NLL read through the shared memo equals
+the one computed for the ordering alone bit for bit.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import numpy as np
 
 from .denoiser import StepSampler
 from .graphs import (DiffusionTrajectory, GraphError, LabeledGraph,
-                     denoising_view, forward_trajectory, observed_step)
+                     denoising_view, forward_trajectory)
 from .model import ModelBundle
-from .training import loss_views, weighted_log_likelihood
+from .training import fill_step_memos, loss_views, weighted_log_likelihood
 
 
 @dataclass
@@ -61,7 +62,7 @@ def trajectory_nll(model: ModelBundle, graph: LabeledGraph, ordering,
     if _views is None:
         _views = loss_views(forward_trajectory(graph, ordering), range(1, graph.n + 1))
     # the denoiser loss at all n timesteps, whose n/T scale is 1
-    return -weighted_log_likelihood(graph, _views, model.denoiser, memo=memo).item()
+    return -weighted_log_likelihood(graph, _views, model.denoiser, memo=memo)
 
 
 def _ordering_nlls(model: ModelBundle, graph: LabeledGraph, orderings) -> dict:
@@ -69,22 +70,11 @@ def _ordering_nlls(model: ModelBundle, graph: LabeledGraph, orderings) -> dict:
     of every view the orderings reach (see the module docstring)."""
     timesteps = range(1, graph.n + 1)
     built: dict[tuple, tuple] = {}        # ordering -> its loss views
-    pending: dict = {}                    # DenoisingView -> (node type, edges)
     for ordering in orderings:
         if ordering not in built:
-            views = built[ordering] = tuple(
-                loss_views(forward_trajectory(graph, ordering), timesteps))
-            for view, state, target, _ in views:
-                if view not in pending:
-                    pending[view] = observed_step(graph, state, target)
-    by_size: dict[int, list] = {}
-    for view in pending:
-        by_size.setdefault(view.size, []).append(view)
+            built[ordering] = tuple(loss_views(forward_trajectory(graph, ordering), timesteps))
     memo: dict = {}
-    for views in by_size.values():
-        node_types, edges = zip(*(pending[v] for v in views))
-        memo.update(zip(views, model.denoiser.step_log_likelihood(
-            tuple(views), node_types, edges)))
+    fill_step_memos(model.denoiser, [(graph, views, memo) for views in built.values()])
     return {ordering: trajectory_nll(model, graph, ordering, memo, _views=views)
             for ordering, views in built.items()}
 

@@ -64,6 +64,8 @@ class ModelBundle:
                             for name, shape, _ in DenoiserNet.param_specs(denoiser_config))
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from None
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: bad model config: {exc}") from None
         check_shapes(params, expected, path)
 
         def split(prefix: str) -> dict[str, Parameter]:

@@ -128,7 +128,7 @@ def load_checkpoint(path):
                                   else _read_v2(fh, header, path))
         except CheckpointError:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from None
     for label, st in optimizers.items():
         for kind, moments in (("m", st.m), ("v", st.v)):
@@ -172,7 +172,7 @@ def _read_v2(fh, header: dict, path):
     entries = []
     for kind, label, name, shape in header["manifest"]:
         shape = tuple(int(d) for d in shape)
-        if kind not in _KINDS or any(d < 0 for d in shape):
+        if kind not in _KINDS or not isinstance(name, str) or any(d < 0 for d in shape):
             raise CheckpointError(f"{path}: bad manifest entry {[kind, label, name, shape]}")
         entries.append((kind, label, name, shape))
     expected = sum(math.prod(shape) for *_, shape in entries) * _DTYPE.itemsize

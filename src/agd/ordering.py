@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor
 from .graphs import (ABSENT, DiffusionTrajectory, GraphError, LabeledGraph,
-                     forward_trajectory)
+                     check_config_numbers, forward_trajectory)
 
 
 def positional_encoding(position: int, dim: int) -> np.ndarray:
@@ -45,6 +45,8 @@ class OrderingConfig:
 
     def __post_init__(self):
         # Each message starts with the field name; RunConfig maps it to its key.
+        check_config_numbers(self, ("num_node_types", "layers", "heads", "hidden",
+                                    "embed_dim", "pe_dim"))
         for name in ("num_node_types", "heads", "hidden", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -9,14 +9,24 @@ step distribution (treated as constants, so only the denoiser receives
 gradients). The reward for a trajectory is the same quantity evaluated
 without gradients; lower is better, so the ordering network descends
 (R - baseline) * grad log q.
+
+Every untaped step log-likelihood, the rewards here and the NLLs of
+`agd.likelihood` alike, is computed by `fill_step_memos` into a step memo: a
+dict from `DenoisingView` to a float, kept per graph. It makes one stacked
+`step_log_likelihood` call per view size, whose slices carry the bits of
+single views, and an untaped loss sums the memo's floats in the loss's term
+order, so it equals a view-at-a-time sum bit for bit. Taped losses run one
+forward per view.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -117,10 +127,9 @@ def denoiser_loss(graph: LabeledGraph, trajectory: DiffusionTrajectory,
     """Negative soft-label log-likelihood over the sampled timesteps, scaled
     by n/T. Returns a Tensor when a tape is given, else a float.
 
-    `memo` maps a `DenoisingView` to its step log-likelihood and is read and
-    filled here. A view fixes the step's labels only within one graph, and
-    the memo holds untaped values, so it must be kept per (graph, denoiser)
-    and cannot be combined with a tape."""
+    `memo` is a step memo for this graph and denoiser (see the module
+    docstring), read and filled here. It holds untaped values, so it cannot
+    be combined with a tape."""
     if memo is not None and tape is not None:
         raise ValueError("a step memo holds untaped values; it cannot be used with a tape")
     timesteps = sorted(set(int(t) for t in timesteps))
@@ -131,30 +140,48 @@ def denoiser_loss(graph: LabeledGraph, trajectory: DiffusionTrajectory,
         raise ValueError("timesteps must lie in 1..n")
     total = weighted_log_likelihood(graph, loss_views(trajectory, timesteps, top_k),
                                     denoiser, tape, memo)
-    scaled = total * (-float(n) / len(timesteps))
-    return scaled if tape is not None else scaled.item()
+    return total * (-float(n) / len(timesteps))
+
+
+def fill_step_memos(denoiser: DenoiserNet, items) -> None:
+    """Store, untaped, the step log-likelihood of every view an item's memo
+    lacks, as a float. `items` are (graph, `loss_views` items, memo) triples
+    with one memo per graph; the views of all items are computed with one
+    stacked `step_log_likelihood` call per view size, a stack mixing graphs
+    since each view carries its own labels."""
+    by_size: dict[int, dict] = {}      # size -> (memo id, view) -> (memo, view, labels...)
+    for graph, views, memo in items:
+        for view, state, target, _ in views:
+            pending = by_size.setdefault(view.size, {})
+            if view not in memo and (id(memo), view) not in pending:
+                pending[id(memo), view] = (memo, view, *observed_step(graph, state, target))
+    for pending in filter(None, by_size.values()):
+        memos, views, node_types, edges = zip(*pending.values())
+        lls = denoiser.step_log_likelihood(views, node_types, edges)
+        for memo, view, ll in zip(memos, views, lls):
+            memo[view] = ll.item()
 
 
 def weighted_log_likelihood(graph: LabeledGraph, views, denoiser: DenoiserNet,
                             tape=None, memo: dict | None = None):
-    """sum w * log p(candidate) over `loss_views` items, added in their order;
-    a Tensor. `memo` is read and filled as in `denoiser_loss`."""
-    total = None
-    for view, state, cand, w in views:
-        ll = memo.get(view) if memo is not None else None
-        if ll is None:
-            node_type, observed = observed_step(graph, state, cand)
-            ll = denoiser.step_log_likelihood(view, node_type, observed, tape)
-            if memo is not None:
-                memo[view] = ll
-        term = ll * w
-        total = term if total is None else total + term
-    return total
+    """sum w * log p(candidate) over `loss_views` items, added in their order
+    from the first term. Taped, a Tensor with one forward per view; untaped,
+    a float read through `memo` (or a memo of its own) once `fill_step_memos`
+    has filled it."""
+    if tape is not None:
+        return reduce(operator.add, (denoiser.step_log_likelihood(
+            view, *observed_step(graph, state, cand), tape) * w
+            for view, state, cand, w in views))
+    views, memo = tuple(views), {} if memo is None else memo
+    fill_step_memos(denoiser, [(graph, views, memo)])
+    return reduce(operator.add, (memo[view] * w for view, _, _, w in views))
 
 
 def compute_reward(graph: LabeledGraph, trajectory: DiffusionTrajectory,
                    timesteps, denoiser: DenoiserNet, top_k: int = 1) -> float:
-    """The sampled negative log-likelihood bound, without gradients."""
+    """The sampled negative log-likelihood bound, without gradients, for
+    one trajectory; `fit` computes a validation batch's rewards at once,
+    through `fill_step_memos` and `denoiser_loss`, with the same bits."""
     return denoiser_loss(graph, trajectory, timesteps, denoiser, top_k, tape=None)
 
 
@@ -230,7 +257,9 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
     model.adam_denoiser.lr = config.lr_denoiser
     model.adam_ordering.lr = config.lr_ordering
     report = TrainReport()
-    log_records = []
+    # records are written as they are made, so a diverged or killed run
+    # keeps the log of every step it finished
+    log = open(log_path, "w") if log_path is not None else None
     checkpoints: list[str] = []
     baseline_value: float | None = None
     theta_steps = 0
@@ -244,6 +273,12 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
                 traj = (uniform_trajectory(graph, rng) if config.uniform_ordering
                         else model.ordering.sample_ordering(graph, rng))
                 yield graph, traj, _sample_timesteps(graph.n, config.timesteps, rng)
+
+    def log_record(loss, reward):
+        if log is not None:
+            log.write(json.dumps({"step": theta_steps, "loss": loss, "reward": reward,
+                                  "timestamp": time.time()}, sort_keys=True) + "\n")
+            log.flush()
 
     def save_ckpt():
         if checkpoint_dir is None:
@@ -275,12 +310,11 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
             order = rng.permutation(len(train_graphs))
             epoch_losses = []
             for batch in _minibatches(list(order), config.batch_size):
-                mean_loss = denoiser_step(batch)
                 theta_steps += 1
+                mean_loss = denoiser_step(batch)
                 epoch_losses.append(mean_loss)
                 report.step_losses.append(mean_loss)
-                log_records.append({"step": theta_steps, "loss": mean_loss,
-                                    "reward": None, "timestamp": time.time()})
+                log_record(mean_loss, None)
                 if config.eval_every and theta_steps % config.eval_every == 0:
                     save_ckpt()
 
@@ -288,13 +322,15 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
             if not config.uniform_ordering:
                 val_order = rng.permutation(len(val_graphs))
                 for batch in _minibatches(list(val_order), config.val_batch_size):
-                    items = []
-                    rewards = []
-                    for graph, traj, ts in draws(val_graphs, batch):
-                        r = compute_reward(graph, traj, ts, model.denoiser,
-                                           config.soft_label_top_k)
-                        items.append((graph, traj.ordering, r))
-                        rewards.append(r)
+                    drawn = list(draws(val_graphs, batch))
+                    memos = {graph: {} for graph, _, _ in drawn}
+                    fill_step_memos(model.denoiser, [(graph, tuple(loss_views(
+                        traj, ts, config.soft_label_top_k)), memos[graph])
+                        for graph, traj, ts in drawn])
+                    rewards = [denoiser_loss(graph, traj, ts, model.denoiser,
+                                             config.soft_label_top_k, memo=memos[graph])
+                               for graph, traj, ts in drawn]
+                    items = [(g, traj.ordering, r) for (g, traj, _), r in zip(drawn, rewards)]
                     mean_r = float(np.mean(rewards))
                     if config.baseline:
                         if baseline_value is None:
@@ -308,16 +344,16 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
                     reinforce_update(model.ordering, model.adam_ordering, items,
                                      b, config.trajectories)
                     epoch_rewards.extend(rewards)
-                    log_records.append({"step": theta_steps,
-                                        "loss": None,
-                                        "reward": mean_r,
-                                        "timestamp": time.time()})
+                    log_record(None, mean_r)
             report.epoch_losses.append(float(np.mean(epoch_losses)))
             report.epoch_rewards.append(float(np.mean(epoch_rewards))
                                         if epoch_rewards else None)
     except NonFiniteError as exc:
         raise TrainingDiverged(
             f"non-finite loss at denoiser step {theta_steps}: {exc}") from exc
+    finally:
+        if log is not None:
+            log.close()
 
     save_ckpt()
     if checkpoints:
@@ -328,10 +364,6 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
         else:
             report.selected_checkpoint = checkpoints[-1]
     report.wall_time = time.time() - started
-    if log_path is not None:
-        with open(log_path, "w") as fh:
-            for rec in log_records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return model, report
 
 

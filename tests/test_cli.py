@@ -1,18 +1,22 @@
 import json
+import math
 import os
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from agd.autodiff import Parameter
 from agd.cli import main
 from agd.datasets import load_corpus, save_corpus
 from agd.denoiser import DenoiserConfig
 from agd.model import ModelBundle
-from agd.optim import load_checkpoint, save_checkpoint
+from agd.optim import CheckpointError, load_checkpoint, save_checkpoint
 from agd.ordering import OrderingConfig
+from tests.test_training import poison_denoiser_step
 
 
 @pytest.fixture
@@ -135,6 +139,18 @@ def _edit_bytes(edit):
     return apply
 
 
+def _edit_header(path, keys, value):
+    """Set the value at `keys` in the JSON header of the checkpoint at
+    `path`; the payload is kept."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+
+
 class TestBadCheckpoint:
     @pytest.mark.parametrize("corrupt", [
         _rewrite(_drop_param), _rewrite(_add_param), _rewrite(_reshape_param),
@@ -143,8 +159,11 @@ class TestBadCheckpoint:
         _edit_bytes(lambda b: b + bytes(8)),
         _edit_bytes(lambda b: b.replace(b'"format_version": 2', b'"format_version": 3', 1)),
         _edit_bytes(lambda b: b[:40]),
+        lambda path: _edit_header(path, ("manifest", 0, 3, 0), math.inf),
+        lambda path: _edit_header(path, ("manifest", 0, 2), None),
     ], ids=["missing-param", "extra-param", "wrong-shape", "unknown-moment",
-            "truncated", "padded", "unknown-version", "truncated-header"])
+            "truncated", "padded", "unknown-version", "truncated-header",
+            "infinite-dimension", "unnamed-array"])
     def test_one_error_line(self, tmp_path, tiny_checkpoint, capsys, corrupt):
         path = Path(tiny_checkpoint)
         corrupt(path)
@@ -160,6 +179,65 @@ class TestBadCheckpoint:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def _key_paths(node, prefix=()):
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _key_paths(child, prefix + (key,))
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 8) | st.integers()
+                 | st.floats() | st.text(max_size=4)
+                 | st.sampled_from(["gat", "gru-gate", "no", "x", "param", "m"]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4),
+                                                                inner, max_size=3),
+    max_leaves=8)
+
+
+class TestBadCheckpointHeader:
+    @pytest.mark.parametrize("section, key, value", [
+        ("denoiser", "hidden", 5.0), ("ordering", "num_node_types", 1.0),
+        ("denoiser", "leaky_slope", "x"), ("denoiser", "edge_in_attention", "no"),
+    ])
+    def test_wrong_config_type_is_one_error_line(self, tmp_path, tiny_checkpoint,
+                                                 capsys, section, key, value):
+        path = Path(tiny_checkpoint)
+        _edit_header(path, ("config", section, key), value)
+        code = run(["generate", "--checkpoint", path, "--count", 1, "--n", 3,
+                    "--out", tmp_path / "g.jsonl"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:"), err
+        assert key in err[0]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_header_value_loads_or_raises_checkpoint_error(self, tmp_path,
+                                                               tiny_checkpoint, data):
+        original = ModelBundle.load(tiny_checkpoint)
+        header = json.loads(Path(tiny_checkpoint).read_bytes().split(b"\n", 1)[0])
+        # weight the four top-level entries alike, the long manifest included
+        top = data.draw(st.sampled_from(sorted(header)))
+        keys = data.draw(st.sampled_from(list(_key_paths(header[top], (top,)))))
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(Path(tiny_checkpoint).read_bytes())
+        _edit_header(path, keys, data.draw(_JSON_VALUES))
+        try:
+            bundle = ModelBundle.load(path)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+        else:
+            for got, want in ((bundle.ordering.config, original.ordering.config),
+                              (bundle.denoiser.config, original.denoiser.config)):
+                for name, value in want.to_dict().items():
+                    if name != "leaky_slope":
+                        assert type(getattr(got, name)) is type(value), (name, got)
 
 
 class TestEvaluate:
@@ -323,6 +401,17 @@ report = {tmp_path}/report.json
                           "edge_types = 2\nbogus_key = 3\n")
         assert run(["train", "--config", config]) == 1
         assert "bogus_key" in capsys.readouterr().err
+
+
+    def test_diverged_run_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 6, "--seed", 3,
+             "--out", corpus])
+        config = _write_config(tmp_path, corpus, train={"batch_size": 1})
+        poison_denoiser_step(monkeypatch, 2)
+        assert run(["train", "--config", config]) == 1
+        line = _one_error_line(capsys)
+        assert "denoiser step 2" in line, line
 
 
 class TestBadOrderingConfig:

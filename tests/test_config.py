@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from agd.config import ConfigError, RunConfig
+from agd.config import _SCHEMA, ConfigError, RunConfig
 from agd.denoiser import DenoiserConfig
 from agd.metrics import descriptors_csv
 from agd.graphs import new_graph
@@ -67,6 +69,59 @@ class TestRunConfig:
         body = MINIMAL + "\n[train]\nval_fraction = 0.25\n"
         cfg = RunConfig.load(write_config(tmp_path, body))
         assert cfg.train["val_fraction"] == 0.25
+
+
+class TestLiteralValues:
+    @pytest.mark.parametrize("value", ["run%.jsonl", "%(x)s", "100%%", "%"])
+    def test_percent_is_read_literally(self, tmp_path, value):
+        body = MINIMAL + f"\n[paths]\nlog = {value}\nreport = {value}\n"
+        cfg = RunConfig.load(write_config(tmp_path, body))
+        assert cfg.paths["log"] == cfg.paths["report"] == value
+
+    def test_missing_section_header_is_one_line(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.load(write_config(tmp_path, "seed = 1\n" + MINIMAL))
+        assert "\n" not in str(err.value)
+        assert "no section headers" in str(err.value)
+
+    def test_value_spanning_lines_rejected(self, tmp_path):
+        body = MINIMAL + "\n[paths]\nlog = a.jsonl\n  b.jsonl\n"
+        with pytest.raises(ConfigError, match="'log' in \\[paths\\]") as err:
+            RunConfig.load(write_config(tmp_path, body))
+        assert "\n" not in str(err.value)
+
+
+# INI-like text: lines from the schema's sections and keys, with values
+# that are sometimes valid and sometimes not, mixed with arbitrary lines.
+_KEYS = sorted({key for keys in _SCHEMA.values() for key in keys}) + ["bogus"]
+_VALUES = (st.sampled_from(["1", "0", "-1", "4", "0.5", "nan", "inf", "on", "gat",
+                            "gru-gate", "", "%", "%(x)s", "run%.jsonl", "."])
+           | st.text(max_size=6))
+_HEADER = st.sampled_from([f"[{s}]" for s in _SCHEMA] + ["[DEFAULT]", "[extra]", "[run"])
+_KEY_LINE = st.builds(lambda k, sep, v: f"{k}{sep}{v}", st.sampled_from(_KEYS),
+                      st.sampled_from([" = ", "=", ": ", " "]), _VALUES)
+_CONTINUATION = st.builds(lambda v: "  " + v, _VALUES)
+# mostly key lines, some headers, few continuations and arbitrary lines
+_LINES = st.lists(st.sampled_from([_HEADER] * 3 + [_KEY_LINE] * 12 + [
+    _CONTINUATION, st.text(max_size=12)]).flatmap(lambda line: line), max_size=8)
+
+
+class TestConfigFuzz:
+    """Any text either loads or raises one ConfigError line, never another
+    exception."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(prefix=st.sampled_from(["", MINIMAL, MINIMAL, MINIMAL]), lines=_LINES)
+    def test_any_text_loads_or_raises_one_config_error_line(self, tmp_path, prefix,
+                                                            lines):
+        path = write_config(tmp_path, prefix + "\n".join(lines) + "\n")
+        try:
+            cfg = RunConfig.load(path)
+        except ConfigError as exc:
+            assert "\n" not in str(exc) and "\r" not in str(exc), str(exc)
+        else:
+            cfg.ordering_config(), cfg.denoiser_config(), cfg.train_config()
 
 
 class TestTypedGraphDefaults:

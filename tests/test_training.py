@@ -1,20 +1,24 @@
+import dataclasses
 import gc
 import itertools
+import json
 import math
+import os
 import weakref
 
 import numpy as np
 import pytest
 
+import agd.autodiff as autodiff
 import agd.training as training
 from agd.autodiff import Tape, grad_check
 from agd.denoiser import DenoiserConfig, DenoiserNet
-from agd.graphs import forward_trajectory, new_graph, permute
+from agd.graphs import DenoisingView, forward_trajectory, new_graph, permute
 from agd.likelihood import trajectory_nll
 from agd.model import ModelBundle
 from agd.ordering import OrderingConfig, OrderingNet
-from agd.training import (TrainConfig, TrainReport, compute_reward,
-                          denoiser_loss, fit, reinforce_gradient,
+from agd.training import (TrainConfig, TrainingDiverged, TrainReport,
+                          compute_reward, denoiser_loss, fit, reinforce_gradient,
                           reinforce_update, uniform_trajectory)
 
 
@@ -349,6 +353,173 @@ class TestOneTapeAtATime:
         monkeypatch.setattr(training, "reinforce_gradient", checked_reinforce_gradient)
         self._fit(model)
         assert stepped and checked == [0, 0]
+
+
+def poison_denoiser_step(monkeypatch, step):
+    """Make the first taped loss of denoiser step `step` non-finite, when
+    each step records one trajectory; the autodiff op raises NonFiniteError."""
+    taped = itertools.count(1)
+    original = training.denoiser_loss
+
+    def poisoned(graph, trajectory, timesteps, denoiser, top_k=1, tape=None, memo=None):
+        loss = original(graph, trajectory, timesteps, denoiser, top_k, tape, memo)
+        if tape is not None and next(taped) == step:
+            return loss * math.inf
+        return loss
+
+    monkeypatch.setattr(training, "denoiser_loss", poisoned)
+
+
+class TestDivergence:
+    def test_diverged_run_names_the_step_and_keeps_its_log(self, tmp_path, monkeypatch):
+        g = triangle()
+        log = tmp_path / "train.jsonl"
+        poison_denoiser_step(monkeypatch, 2)
+        cfg = TrainConfig(epochs=1, batch_size=1, trajectories=1, timesteps=2, seed=2)
+        with pytest.raises(TrainingDiverged, match="denoiser step 2: "):
+            fit([g, g, g], [g], tiny_model(seed=37), cfg, log_path=str(log))
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(records) == 1
+        assert records[0]["step"] == 1 and records[0]["reward"] is None
+        assert math.isfinite(records[0]["loss"])
+
+    def test_log_is_written_as_records_are_made(self, tmp_path, monkeypatch):
+        g = triangle()
+        log = tmp_path / "train.jsonl"
+        seen = []
+        reinforce_update = training.reinforce_update
+
+        def reading(*args, **kwargs):
+            seen.append([json.loads(line)["step"] for line in log.read_text().splitlines()])
+            return reinforce_update(*args, **kwargs)
+
+        monkeypatch.setattr(training, "reinforce_update", reading)
+        cfg = TrainConfig(epochs=2, batch_size=1, trajectories=1, timesteps=2, seed=2)
+        fit([g, g], [g], tiny_model(seed=37), cfg, log_path=str(log))
+        # each ordering update sees every denoiser step and update before it
+        assert seen == [[1, 2], [1, 2, 2, 3, 4]]
+        assert [json.loads(line)["step"] for line in log.read_text().splitlines()] == \
+            [1, 2, 2, 3, 4, 4]
+
+
+def _typed_val_graphs():
+    """Two 4-node graphs that differ only in node 2's type, so the views with
+    node 2 as the target are one `DenoisingView` with two labels, and a
+    3-node graph."""
+    edges = [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)]
+    return [new_graph([0, 1, 1, 0], edges, 2, 3), new_graph([0, 1, 0, 0], edges, 2, 3),
+            new_graph([1, 0, 1], [(0, 1, 1), (1, 2, 2)], 2, 3)]
+
+
+def _typed_model(aggregator="gat"):
+    return ModelBundle.init(
+        OrderingConfig(num_node_types=2, layers=1, heads=2, hidden=3, embed_dim=4,
+                       pe_dim=4),
+        DenoiserConfig(num_node_types=2, num_edge_types=3, layers=1, hidden=5,
+                       mlp_hidden=6, mixtures=2, aggregator=aggregator),
+        np.random.default_rng(47))
+
+
+class TestOneUntapedEvaluator:
+    """Rewards and likelihoods are summed from a step memo that one stacked
+    `step_log_likelihood` call per view size fills."""
+
+    def test_filled_memo_runs_no_autodiff_op(self, monkeypatch):
+        model = _typed_model()
+        g = _typed_val_graphs()[0]
+        sigma = (2, 0, 3, 1)
+        traj = model.ordering.sample_ordering(g, np.random.default_rng(3))
+        nll_memo, loss_memo = {}, {}
+        nll = trajectory_nll(model, g, sigma, nll_memo)
+        loss = denoiser_loss(g, traj, [1, 3, 4], model.denoiser, 2, memo=loss_memo)
+
+        def no_op(*args, **kwargs):
+            raise AssertionError("an autodiff op ran")
+
+        monkeypatch.setattr(autodiff, "_result", no_op)
+        assert trajectory_nll(model, g, sigma, nll_memo) == nll
+        assert denoiser_loss(g, traj, [1, 3, 4], model.denoiser, 2, memo=loss_memo) == loss
+
+    @pytest.mark.parametrize("aggregator", ["gat", "gru-gate"])
+    @pytest.mark.parametrize("top_k", [1, 3])
+    def test_untaped_loss_has_the_bits_of_the_taped_one(self, aggregator, top_k):
+        model = _typed_model(aggregator)
+        for seed, g in enumerate(_typed_val_graphs()):
+            traj = model.ordering.sample_ordering(g, np.random.default_rng(seed))
+            ts = range(1, g.n + 1)
+            tape = Tape()
+            for p in model.denoiser.params.values():
+                tape.register(p)
+            taped = denoiser_loss(g, traj, ts, model.denoiser, top_k, tape).item()
+            assert denoiser_loss(g, traj, ts, model.denoiser, top_k) == taped
+
+    @pytest.mark.parametrize("top_k", [1, 3])
+    def test_ordering_phase_makes_one_call_per_view_size_per_batch(self, monkeypatch,
+                                                                   top_k):
+        batches, current = [], []
+        step_log_likelihood = DenoiserNet.step_log_likelihood
+        reinforce_update = training.reinforce_update
+
+        def recorded(self, view, *args, **kwargs):
+            if kwargs.get("tape", args[2] if len(args) > 2 else None) is None:
+                current.append(view)
+            return step_log_likelihood(self, view, *args, **kwargs)
+
+        def batch_end(*args, **kwargs):
+            batches.append(current[:])
+            current.clear()
+            return reinforce_update(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("fit evaluates rewards through the shared memo")
+
+        monkeypatch.setattr(DenoiserNet, "step_log_likelihood", recorded)
+        monkeypatch.setattr(training, "reinforce_update", batch_end)
+        monkeypatch.setattr(training, "compute_reward", refused)
+        graphs = _typed_val_graphs()
+        cfg = TrainConfig(epochs=2, batch_size=2, val_batch_size=2, trajectories=3,
+                          timesteps=3, soft_label_top_k=top_k, seed=5)
+        fit(graphs, graphs, _typed_model(), cfg)
+        assert len(batches) == 2 * 2 and not current
+        for calls in batches:
+            assert calls and not any(isinstance(v, DenoisingView) for v in calls)
+            sizes = [{v.size for v in views} for views in calls]
+            assert all(len(s) == 1 for s in sizes)
+            assert len(sizes) == len({s for (s,) in sizes})
+
+    @pytest.mark.parametrize("aggregator", ["gat", "gru-gate"])
+    @pytest.mark.parametrize("top_k", [1, 3])
+    def test_fit_equals_one_compute_reward_per_trajectory(self, tmp_path, monkeypatch,
+                                                          aggregator, top_k):
+        graphs = _typed_val_graphs()
+        cfg = TrainConfig(epochs=2, batch_size=2, val_batch_size=3, trajectories=3,
+                          timesteps=3, soft_label_top_k=top_k, seed=6)
+
+        def run(name):
+            out = tmp_path / name
+            out.mkdir()
+            _, report = fit(graphs[::-1], graphs, _typed_model(aggregator), cfg,
+                            checkpoint_dir=str(out))
+            files = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+            return dataclasses.replace(
+                report, selected_checkpoint=os.path.basename(report.selected_checkpoint)), files
+
+        got = run("shared")
+        redirected = []
+        loss = training.denoiser_loss
+
+        def per_trajectory(graph, trajectory, timesteps, denoiser, top_k=1, tape=None,
+                           memo=None):
+            if memo is None:
+                return loss(graph, trajectory, timesteps, denoiser, top_k, tape)
+            redirected.append(graph)
+            return compute_reward(graph, trajectory, timesteps, denoiser, top_k)
+
+        monkeypatch.setattr(training, "denoiser_loss", per_trajectory)
+        want = run("reference")
+        # every reward of the reference came from its own compute_reward call
+        assert len(redirected) == cfg.epochs * len(graphs) * cfg.trajectories
+        assert got == want
 
 
 class TestCheckpointRoundTrip:
