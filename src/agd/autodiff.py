@@ -11,7 +11,8 @@ to its tape, so one captured tensor would make the tape a reference cycle
 that only the cyclic garbage collector frees. Without cycles, a tape and
 every activation its closures hold are freed by reference counting as soon
 as the last tensor recorded on it is dropped; `training.fit` relies on this
-to hold one tape at a time.
+to hold one tape at a time. The backward sweep likewise drops each node's
+gradient once it has passed it on, so only the parameters' gradients last.
 """
 
 from __future__ import annotations
@@ -123,6 +124,7 @@ class Tape:
             parent_ids, vjp = self._entries[nid]
             if vjp is None:
                 continue
+            grads[nid] = None   # spent: only parameter nodes keep theirs
             for pid, pg in zip(parent_ids, vjp(gout)):
                 if pg is None:
                     continue

@@ -80,6 +80,15 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_finite_real(value) -> bool:
+    """A real number, not a bool, that is finite as a float64."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:    # an int too large for a float64
+        return False
+
+
 def _integer(value, what: str) -> int:
     if not is_integer(value):
         raise GraphError(f"{what} must be an integer, got {value!r}")
@@ -97,8 +106,7 @@ def check_config_numbers(config, integer_fields) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         setattr(config, name, int(value))
     slope = config.leaky_slope
-    if (isinstance(slope, bool) or not isinstance(slope, numbers.Real)
-            or not math.isfinite(slope)):
+    if not is_finite_real(slope):
         raise ValueError(f"leaky_slope must be a finite real number, got {slope!r}")
 
 

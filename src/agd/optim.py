@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Parameter, ShapeError
+from .graphs import is_finite_real, is_integer
 
 
 @dataclass
@@ -124,7 +125,7 @@ def load_checkpoint(path):
         if version not in (1, FORMAT_VERSION):
             raise CheckpointError(f"{path}: unsupported checkpoint format version: {version}")
         try:
-            params, optimizers = (_from_v1(header) if version == 1
+            params, optimizers = (_from_v1(header, path) if version == 1
                                   else _read_v2(fh, header, path))
         except CheckpointError:
             raise
@@ -153,8 +154,8 @@ def check_shapes(params: dict[str, Parameter], expected: dict[str, tuple[int, ..
     extra = [n for n in params if n not in expected]
     if missing or extra:
         raise CheckpointError(f"{path}: parameters do not match the stored config "
-                              f"(missing: {', '.join(missing) or 'none'}; "
-                              f"unexpected: {', '.join(extra) or 'none'})")
+                              f"(missing: {', '.join(map(repr, missing)) or 'none'}; "
+                              f"unexpected: {', '.join(map(repr, extra)) or 'none'})")
     for n, shape in expected.items():
         if params[n].data.shape != tuple(shape):
             raise CheckpointError(f"{path}: parameter {n!r} has shape "
@@ -162,13 +163,23 @@ def check_shapes(params: dict[str, Parameter], expected: dict[str, tuple[int, ..
                                   f"{tuple(shape)}")
 
 
-def _adam_state(st: dict) -> AdamState:
+def _adam_state(st: dict, label, path) -> AdamState:
+    """The optimizer `label` of a checkpoint header; its rates are finite
+    reals and its step count a non-negative integer."""
+    for name in ("lr", "beta1", "beta2", "eps"):
+        if not is_finite_real(st[name]):
+            raise CheckpointError(f"{path}: optimizer {label!r} field {name!r} must be "
+                                  f"a finite real number, got {st[name]!r}")
+    if not is_integer(st["step"]) or st["step"] < 0:
+        raise CheckpointError(f"{path}: optimizer {label!r} field 'step' must be a "
+                              f"non-negative integer, got {st['step']!r}")
     return AdamState(lr=st["lr"], beta1=st["beta1"], beta2=st["beta2"],
                      eps=st["eps"], step=st["step"])
 
 
 def _read_v2(fh, header: dict, path):
-    optimizers = {label: _adam_state(st) for label, st in header["optimizers"].items()}
+    optimizers = {label: _adam_state(st, label, path)
+                  for label, st in header["optimizers"].items()}
     entries = []
     for kind, label, name, shape in header["manifest"]:
         shape = tuple(int(d) for d in shape)
@@ -194,14 +205,14 @@ def _read_v2(fh, header: dict, path):
     return params, optimizers
 
 
-def _from_v1(doc: dict):
+def _from_v1(doc: dict, path):
     params = {}
     for name, entry in doc["params"].items():
         shape = tuple(entry["shape"])
         params[name] = Parameter(name, np.array(entry["data"], dtype=np.float64).reshape(shape))
     optimizers = {}
     for label, st in doc.get("optimizers", {}).items():
-        state = _adam_state(st)
+        state = _adam_state(st, label, path)
         for moments, flats in ((state.m, st["m"]), (state.v, st["v"])):
             for n, flat in flats.items():
                 # a moment of an unknown parameter stays flat for the caller to reject

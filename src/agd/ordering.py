@@ -4,6 +4,12 @@ A small multi-head attention GNN over the original graph topology. Node
 features are a type embedding concatenated with a positional encoding of the
 node's own absorption step (a learned sentinel vector while unabsorbed), so
 the distribution is conditioned on the absorption prefix.
+
+Like the denoiser, the network runs one forward over a stack of B prefixes of
+one graph, laid out (B, n, ...); one prefix is a stack of one. Products run
+slice by slice and every sort, sum and softmax stays within a slice, so each
+slice has the bits of its prefix scored alone, and `ordering_log_prob` scores
+its n prefixes in one forward.
 """
 
 from __future__ import annotations
@@ -109,8 +115,7 @@ class OrderingNet:
     def layer_weights(self, tape: Tape | None = None) -> list[tuple[Tensor, Tensor, Tensor]]:
         """Each layer's heads as one (d, heads * hidden) projection and
         (heads, hidden) source and target attention vectors. A caller that
-        scores many prefixes builds these once and passes them to
-        `node_scores`."""
+        scores many stacks builds these once and passes them in."""
         heads = range(self.config.heads)
         return [(ad.concat([self._get(tape, f"l{l}_h{hd}_w") for hd in heads], axis=1),
                  ad.stack([self._get(tape, f"l{l}_h{hd}_asrc") for hd in heads]),
@@ -119,54 +124,61 @@ class OrderingNet:
 
     def node_scores(self, graph: LabeledGraph, prefix, tape: Tape | None = None,
                     weights=None) -> Tensor:
-        """Per-node scalar scores given the absorbed prefix (in order).
-        `weights` is `layer_weights(tape)`, built here when not given.
+        """Per-node scalar scores given the absorbed prefix (in order): the
+        stack of one prefix. `weights` is `layer_weights(tape)`, built here
+        when not given."""
+        return ad.reshape(self._stack_node_scores(graph, [prefix], tape, weights), (-1,))
 
-        Each layer attends over all heads and nodes at once: logits
-        s_i + r_j of shape (n, n, heads), softmax over the neighbours j of
+    def _stack_node_scores(self, graph: LabeledGraph, prefixes, tape: Tape | None = None,
+                           weights=None) -> Tensor:
+        """(B, n) scores of B prefixes of one graph; each slice has the bits
+        of its prefix scored alone.
+
+        Each layer attends over all prefixes, heads and nodes at once: logits
+        s_i + r_j of shape (B, n, n, heads), softmax over the neighbours j of
         i (self included), and a sorted sum over j of alpha * Wh, so the
         scores are equivariant to node relabeling bit for bit.
         """
         c = self.config
-        if weights is None:
-            weights = self.layer_weights(tape)
-        n = graph.n
-        position = {v: i + 1 for i, v in enumerate(prefix)}
-        emb = ad.rows(self._get(tape, "embed"), list(graph.node_types))
-        pe_rows = []
-        for i in range(n):
-            if i in position:
-                pe_rows.append(Tensor(positional_encoding(position[i], c.pe_dim)))
-            else:
-                pe_rows.append(self._get(tape, "pe_unabsorbed"))
-        x = ad.concat([emb, ad.stack(pe_rows)], axis=1)
+        weights = weights or self.layer_weights(tape)
+        b, n = len(prefixes), graph.n
+        # row 0 of the encoding table is the unabsorbed sentinel, row p the
+        # encoding of absorption step p
+        position = np.zeros((b, n), dtype=int)
+        for row, prefix in zip(position, prefixes):
+            row[list(prefix)] = np.arange(1, len(prefix) + 1)
+        table = ad.stack([self._get(tape, "pe_unabsorbed")]
+                         + [Tensor(positional_encoding(p, c.pe_dim))
+                            for p in range(1, position.max(initial=0) + 1)])
+        emb = ad.rows(self._get(tape, "embed"), np.tile(graph.node_types, (b, 1)))
+        x = ad.concat([emb, ad.rows(table, position)], axis=2)
         h = ad.add(ad.matmul(x, self._get(tape, "w_in")), self._get(tape, "b_in"))
 
         neighbours = ((graph.adjacency != ABSENT) | np.eye(n, dtype=bool))[:, :, None]
         for w, a_src, a_dst in weights:
-            wh = ad.reshape(ad.matmul(h, w), (n, c.heads, c.hidden))
-            s = ad.reshape(ad.einsum("nhk,hk->nh", wh, a_src), (n, 1, c.heads))
-            r = ad.reshape(ad.einsum("nhk,hk->nh", wh, a_dst), (1, n, c.heads))
+            # wh is laid out (b, -, j, head, k), so it broadcasts over i below
+            wh = ad.reshape(ad.matmul(h, w), (b, 1, n, c.heads, c.hidden))
+            s = ad.reshape(ad.einsum("bxnhk,hk->bxnh", wh, a_src), (b, n, 1, c.heads))
+            r = ad.einsum("bxnhk,hk->bxnh", wh, a_dst)
             logits = ad.leaky_relu(ad.add(s, r), slope=c.leaky_slope)
-            alpha = ad.masked_softmax(logits, neighbours, axis=1)
-            msgs = ad.mul(ad.reshape(alpha, (n, n, c.heads, 1)), wh)   # (i, j, head, k)
-            merged = ad.reshape(ad.tsum(msgs, axis=1), (n, c.model_dim))
+            alpha = ad.masked_softmax(logits, neighbours, axis=2)
+            msgs = ad.mul(ad.reshape(alpha, (b, n, n, c.heads, 1)), wh)   # (b, i, j, head, k)
+            merged = ad.reshape(ad.tsum(msgs, axis=2), (b, n, c.model_dim))
             h = ad.add(ad.relu(merged), h)   # residual connection
         # an einsum, not a BLAS matrix-vector product, whose bits would
         # depend on each node's row position
-        return ad.einsum("nd,d->n", h, self._get(tape, "w_out"))
+        return ad.einsum("bnd,d->bn", h, self._get(tape, "w_out"))
 
     def _step_log_probs(self, scores: Tensor, unabsorbed: list[int]) -> Tensor:
         sel = ad.take(scores, unabsorbed)
         return ad.sub(sel, ad.logsumexp(sel))
 
-    def step_log_probs(self, graph: LabeledGraph, prefix, tape: Tape | None = None,
+    def step_log_probs(self, graph: LabeledGraph, prefix,
                        weights=None) -> tuple[list[int], Tensor]:
         """The unabsorbed nodes (ascending) after `prefix`, and the log
         probability of each being absorbed next."""
-        absorbed = set(prefix)
-        unabsorbed = [i for i in range(graph.n) if i not in absorbed]
-        scores = self.node_scores(graph, prefix, tape, weights)
+        unabsorbed = sorted(set(range(graph.n)).difference(prefix))
+        scores = self.node_scores(graph, prefix, weights=weights)
         return unabsorbed, self._step_log_probs(scores, unabsorbed)
 
     # -- public operations ----------------------------------------------------
@@ -219,13 +231,17 @@ class OrderingNet:
 
     def ordering_log_prob(self, graph: LabeledGraph, ordering,
                           tape: Tape | None = None) -> Tensor:
-        """log q(ordering | graph), differentiable when a tape is given."""
+        """log q(ordering | graph), differentiable when a tape is given. One
+        stacked forward scores the n prefixes; the step log-probabilities
+        are added in step order from zero."""
         ordering = [int(v) for v in ordering]
         if sorted(ordering) != list(range(graph.n)):
             raise GraphError("ordering is not a permutation of the node ids")
+        scores = ad.reshape(self._stack_node_scores(
+            graph, [ordering[:t] for t in range(graph.n)], tape), (-1,))
         total = Tensor(0.0)
-        weights = self.layer_weights(tape)
         for t, v in enumerate(ordering):
-            remaining, logp = self.step_log_probs(graph, ordering[:t], tape, weights)
+            remaining = sorted(ordering[t:])
+            logp = self._step_log_probs(scores, [t * graph.n + u for u in remaining])
             total = ad.add(total, ad.pick(logp, remaining.index(v)))
         return total

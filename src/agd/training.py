@@ -82,7 +82,6 @@ class TrainReport:
     epoch_rewards: list[float] = field(default_factory=list)
     step_losses: list[float] = field(default_factory=list)
     selected_checkpoint: str | None = None
-    wall_time: float = field(default=0.0, compare=False)
 
 
 def _retained_candidates(weights: dict[int, float], sampled: int, top_k: int):
@@ -189,7 +188,10 @@ def _accumulate_gradients(acc: dict, params: dict, loss_fn, scale=None) -> float
     """Add the gradients of `loss_fn(tape)` over every parameter in `params`,
     times `scale` when given, to `acc`; return the loss value. The tape, its
     activations and the gradients die on return, so a caller looping over
-    trajectories holds one tape at a time."""
+    trajectories holds one tape at a time. A non-finite `scale` raises
+    NonFiniteError, as a non-finite op would."""
+    if scale is not None and not math.isfinite(scale):
+        raise NonFiniteError(f"non-finite gradient scale {scale}")
     tape = Tape()
     for p in params.values():
         tape.register(p)
@@ -252,7 +254,6 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
         raise ValueError("empty training set")
     if not val_graphs and not config.uniform_ordering:
         raise ValueError("empty validation set")
-    started = time.time()
     rng = np.random.default_rng(config.seed)
     model.adam_denoiser.lr = config.lr_denoiser
     model.adam_ordering.lr = config.lr_ordering
@@ -311,6 +312,7 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
             epoch_losses = []
             for batch in _minibatches(list(order), config.batch_size):
                 theta_steps += 1
+                phase = f"denoiser step {theta_steps}"
                 mean_loss = denoiser_step(batch)
                 epoch_losses.append(mean_loss)
                 report.step_losses.append(mean_loss)
@@ -321,7 +323,9 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
             epoch_rewards = []
             if not config.uniform_ordering:
                 val_order = rng.permutation(len(val_graphs))
-                for batch in _minibatches(list(val_order), config.val_batch_size):
+                for k, batch in enumerate(_minibatches(list(val_order),
+                                                       config.val_batch_size), 1):
+                    phase = f"ordering update {k} after denoiser step {theta_steps}"
                     drawn = list(draws(val_graphs, batch))
                     memos = {graph: {} for graph, _, _ in drawn}
                     fill_step_memos(model.denoiser, [(graph, tuple(loss_views(
@@ -350,7 +354,7 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
                                         if epoch_rewards else None)
     except NonFiniteError as exc:
         raise TrainingDiverged(
-            f"non-finite loss at denoiser step {theta_steps}: {exc}") from exc
+            f"non-finite value at {phase}: {exc}") from exc
     finally:
         if log is not None:
             log.close()
@@ -363,7 +367,6 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
                 MetricConfig(samples=config.select_samples, seed=config.seed))
         else:
             report.selected_checkpoint = checkpoints[-1]
-    report.wall_time = time.time() - started
     return model, report
 
 

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -476,3 +477,22 @@ class TestTapeFreedByReferenceCounting:
         assert y.tape is freed()
         del y
         assert freed() is None
+
+
+def test_backward_drops_each_spent_gradient():
+    # Each neg's gradient is a new array; a sweep that kept every node's
+    # gradient to the end would hold all 200 of them at once.
+    size, chain = 10**5, 200
+    tape = Tape()
+    y = tape.watch(Parameter("w", np.ones(size)))
+    for _ in range(chain):
+        y = ad.neg(y)
+    loss = ad.tsum(y)
+    tracemalloc.start()
+    try:
+        grads = tape.gradients(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(grads["w"], np.ones(size))
+    assert peak < 10 * size * 8

@@ -618,3 +618,50 @@ class TestBadValFraction:
              "--out", corpus])
         config = _write_config(tmp_path, corpus, train={"val_fraction": 0.5})
         assert run(["train", "--config", config]) == 0
+
+
+def _rename_param(old, new):
+    def apply(path):
+        params, optimizers, config = load_checkpoint(path)
+        params[new] = params.pop(old)
+        save_checkpoint(path, params, optimizers, config)
+    return apply
+
+
+class TestBadCheckpointScalars:
+    @pytest.mark.parametrize("field, value", [
+        ("lr", "x"), ("lr", True), ("lr", None), ("beta1", [0.9]), ("beta2", "0.999"),
+        ("eps", 1e400), ("eps", 10**400), ("step", 1.5), ("step", -1), ("step", True),
+        ("step", "3"),
+    ])
+    def test_bad_scalar_is_one_error_line(self, tmp_path, tiny_checkpoint, capsys,
+                                          field, value):
+        path = Path(tiny_checkpoint)
+        _edit_header(path, ("optimizers", "ordering", field), value)
+        code = run(["generate", "--checkpoint", path, "--count", 1, "--n", 3,
+                    "--out", tmp_path / "g.jsonl"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:"), err
+        assert f"'ordering' field '{field}'" in err[0], err
+
+    def test_parameter_names_are_quoted(self, tmp_path, tiny_checkpoint, capsys):
+        path = Path(tiny_checkpoint)
+        _rename_param("denoiser.nh1", "denoiser.a\nb")(path)
+        code = run(["generate", "--checkpoint", path, "--count", 1, "--n", 3,
+                    "--out", tmp_path / "g.jsonl"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:"), err
+        assert "missing: 'denoiser.nh1'" in err[0] and r"'denoiser.a\nb'" in err[0], err
+
+    def test_slope_beyond_float64_is_one_error_line(self, tmp_path, tiny_checkpoint,
+                                                    capsys):
+        path = Path(tiny_checkpoint)
+        _edit_header(path, ("config", "ordering", "leaky_slope"), 10**400)
+        code = run(["generate", "--checkpoint", path, "--count", 1, "--n", 3,
+                    "--out", tmp_path / "g.jsonl"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:"), err
+        assert "leaky_slope" in err[0], err

@@ -559,3 +559,37 @@ def test_train_config_rejects_bad_values(field, value):
 @pytest.mark.parametrize("decay", [0.0, 1.0])
 def test_train_config_accepts_baseline_decay_bounds(decay):
     assert TrainConfig(epochs=0, baseline_decay=decay).baseline_decay == decay
+
+
+class TestNonFiniteReinforce:
+    def test_infinite_reward_raises(self):
+        model = tiny_model(seed=17)
+        g = triangle()
+        with pytest.raises(autodiff.NonFiniteError, match="gradient scale"):
+            reinforce_gradient(model.ordering, [(g, (0, 1, 2), math.inf)],
+                               baseline=0.0, trajectories_per_graph=1)
+
+    @pytest.mark.parametrize("baseline", [True, False])
+    def test_infinite_rewards_diverge_in_the_ordering_update(self, monkeypatch, baseline):
+        original = training.denoiser_loss
+        before = {}
+
+        def infinite_reward(*args, memo=None, **kwargs):
+            return math.inf if memo is not None else original(*args, **kwargs)
+
+        def snapshot(model, adam_state, *args):
+            before.update((name, p.data.copy()) for name, p in model.params.items())
+            return reinforce_update(model, adam_state, *args)
+
+        monkeypatch.setattr(training, "denoiser_loss", infinite_reward)
+        monkeypatch.setattr(training, "reinforce_update", snapshot)
+        g = triangle()
+        model = tiny_model(seed=37)
+        cfg = TrainConfig(epochs=1, batch_size=1, trajectories=1, timesteps=2,
+                          baseline=baseline, seed=2)
+        with pytest.raises(TrainingDiverged,
+                           match="ordering update 1 after denoiser step 2: "):
+            fit([g, g], [g], model, cfg)
+        # the ordering network was left as it was before the update
+        assert all(np.array_equal(p.data, before[name])
+                   for name, p in model.ordering.params.items())
