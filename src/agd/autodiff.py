@@ -187,6 +187,27 @@ class Tensor:
         return matmul(self, other)
 
 
+class Network:
+    """A config and the named parameters it implies. A subclass defines
+    `param_specs(config)`: (name, shape, fan_in) of every parameter, in
+    initialization order."""
+
+    def __init__(self, config, params: dict[str, Parameter]):
+        self.config = config
+        self.params = params
+
+    @classmethod
+    def init(cls, config, rng: np.random.Generator):
+        return cls(config, {name: Parameter(name, uniform_init(rng, shape, fan_in))
+                            for name, shape, fan_in in cls.param_specs(config)})
+
+    def _get(self, tape: Tape | None, name: str) -> Tensor:
+        """The parameter as a tensor: watched on `tape`, untracked without one."""
+        if tape is None:
+            return Tensor(self.params[name].data)
+        return tape.watch(self.params[name])
+
+
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -465,18 +486,7 @@ def tmean(a, axis=None) -> Tensor:
 
 
 def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    if a.data.size == 0:
-        raise ShapeError("softmax of an empty tensor")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / _stable_sum(e, axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return out * (g - inner)
-
-    return _result(out, [a], [vjp])
+    return masked_softmax(a, True, axis)
 
 
 def masked_softmax(a, mask, axis: int = -1) -> Tensor:

@@ -1,11 +1,18 @@
 """Run configuration: an INI-style key/value file validated against a fixed
-schema, with the published hyperparameter defaults."""
+schema, with the published hyperparameter defaults.
+
+The `[model]` and `[train]` keys are the fields of `DenoiserConfig`,
+`OrderingConfig` and `TrainConfig`, and each key's type and default are read
+off its field. Only two facts are the config file's own: `epochs` defaults
+to 10 here, while `TrainConfig` requires it, and `val_fraction` is no
+dataclass field at all.
+"""
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .denoiser import DenoiserConfig
 from .ordering import OrderingConfig
@@ -19,40 +26,31 @@ class ConfigError(ValueError):
 _BOOL = {"on": True, "true": True, "1": True, "yes": True,
          "off": False, "false": False, "0": False, "no": False}
 
+# OrderingConfig / DenoiserConfig / TrainConfig field -> its key in [model] or [train]
+_ORDERING_KEYS = {"num_node_types": "node_types", "layers": "ordering_layers",
+                  "heads": "ordering_heads", "hidden": "ordering_hidden",
+                  "embed_dim": "ordering_embed", "pe_dim": "ordering_pe"}
+_DENOISER_KEYS = {"num_node_types": "node_types", "num_edge_types": "edge_types",
+                  **{k: k for k in ("aggregator", "layers", "hidden", "mlp_hidden",
+                                    "mixtures", "edge_in_attention")}}
+_TRAIN_KEYS = {f.name: f.name for f in fields(TrainConfig) if f.name != "seed"}
+
+
+def _keys_schema(cls, keys) -> dict:
+    """key -> (type tag, default) of the fields of `cls` that `keys` picks,
+    read off their annotations and defaults; None marks a required key."""
+    spec = {f.name: (f.type, None if f.default is MISSING else f.default)
+            for f in fields(cls)}
+    return {key: spec[name] for name, key in keys.items()}
+
+
 # section -> key -> (type tag, default); None default means required
 _SCHEMA = {
     "run": {"seed": ("int", None)},
-    "model": {
-        "node_types": ("int", None),
-        "edge_types": ("int", None),
-        "aggregator": ("str", "gat"),
-        "layers": ("int", 7),
-        "hidden": ("int", 128),
-        "mlp_hidden": ("int", 256),
-        "mixtures": ("int", 20),
-        "edge_in_attention": ("bool", True),
-        "ordering_layers": ("int", 3),
-        "ordering_heads": ("int", 6),
-        "ordering_hidden": ("int", 32),
-        "ordering_embed": ("int", 16),
-        "ordering_pe": ("int", 16),
-    },
-    "train": {
-        "epochs": ("int", 10),
-        "batch_size": ("int", 8),
-        "val_batch_size": ("int", 8),
-        "trajectories": ("int", 4),
-        "timesteps": ("int", 4),
-        "lr_denoiser": ("float", 1e-4),
-        "lr_ordering": ("float", 5e-4),
-        "soft_label_top_k": ("int", 1),
-        "baseline": ("bool", True),
-        "baseline_decay": ("float", 0.9),
-        "uniform_ordering": ("bool", False),
-        "eval_every": ("int", 0),
-        "select_samples": ("int", 0),
-        "val_fraction": ("float", 0.2),
-    },
+    "model": {**_keys_schema(DenoiserConfig, _DENOISER_KEYS),
+              **_keys_schema(OrderingConfig, _ORDERING_KEYS)},
+    "train": {**_keys_schema(TrainConfig, _TRAIN_KEYS),
+              "epochs": ("int", 10), "val_fraction": ("float", 0.2)},
     "paths": {
         "corpus": ("in_path", ""),
         "val_corpus": ("in_path", ""),
@@ -61,14 +59,6 @@ _SCHEMA = {
         "report": ("out_path", ""),
     },
 }
-
-# OrderingConfig / DenoiserConfig field -> its key in [model]
-_ORDERING_KEYS = {"num_node_types": "node_types", "layers": "ordering_layers",
-                  "heads": "ordering_heads", "hidden": "ordering_hidden",
-                  "embed_dim": "ordering_embed", "pe_dim": "ordering_pe"}
-_DENOISER_KEYS = {"num_node_types": "node_types", "num_edge_types": "edge_types",
-                  **{k: k for k in ("aggregator", "layers", "hidden", "mlp_hidden",
-                                    "mixtures", "edge_in_attention")}}
 
 
 @dataclass
@@ -130,8 +120,7 @@ class RunConfig:
         return _build(DenoiserConfig, "model", _DENOISER_KEYS, self.model)
 
     def train_config(self) -> TrainConfig:
-        keys = {k: k for k in self.train if k != "val_fraction"}
-        return _build(TrainConfig, "train", keys, self.train, seed=self.seed)
+        return _build(TrainConfig, "train", _TRAIN_KEYS, self.train, seed=self.seed)
 
 
 def _build(cls, section, keys, values, **extra):

@@ -22,8 +22,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tape, Tensor, gru_cell
-from .graphs import ABSENT, MASK, DenoisingView, GraphError, check_config_numbers
+from .autodiff import Tape, Tensor, gru_cell
+from .graphs import (ABSENT, MASK, DenoisingView, GraphError, check_at_least,
+                     check_config_numbers)
 
 
 @dataclass
@@ -48,12 +49,9 @@ class DenoiserConfig:
         if self.aggregator not in ("gat", "gru-gate"):
             raise ValueError("aggregator must be 'gat' or 'gru-gate', "
                              f"got {self.aggregator!r}")
-        for name in ("num_node_types", "num_edge_types", "hidden", "mlp_hidden",
-                     "mixtures"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
+        check_at_least(self, 1, ("num_node_types", "num_edge_types", "hidden",
+                                 "mlp_hidden", "mixtures"))
+        check_at_least(self, 0, ("layers",))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -102,11 +100,7 @@ def _log_softmax(logits: Tensor) -> Tensor:
     return ad.sub(logits, ad.reshape(lse, shape[:-1] + (1,)))
 
 
-class DenoiserNet:
-    def __init__(self, config: DenoiserConfig, params: dict[str, Parameter]):
-        self.config = config
-        self.params = params
-
+class DenoiserNet(ad.Network):
     @staticmethod
     def param_specs(config: DenoiserConfig) -> list[tuple[str, tuple[int, ...], int]]:
         """(name, shape, fan_in) of every parameter, in initialization order."""
@@ -154,16 +148,6 @@ class DenoiserNet:
             add(f"eh{k}_2", (mh, c.num_edge_types), mh)
             add(f"eh{k}_2b", (c.num_edge_types,), mh)
         return specs
-
-    @classmethod
-    def init(cls, config: DenoiserConfig, rng: np.random.Generator) -> "DenoiserNet":
-        return cls(config, {name: Parameter(name, ad.uniform_init(rng, shape, fan_in))
-                            for name, shape, fan_in in cls.param_specs(config)})
-
-    def _get(self, tape: Tape | None, name: str) -> Tensor:
-        if tape is None:
-            return Tensor(self.params[name].data)
-        return tape.watch(self.params[name])
 
     # -- message passing ------------------------------------------------------
 

@@ -110,6 +110,14 @@ def check_config_numbers(config, integer_fields) -> None:
         raise ValueError(f"leaky_slope must be a finite real number, got {slope!r}")
 
 
+def check_at_least(config, bound, names) -> None:
+    """Reject a config whose fields `names` fall below `bound`; the
+    ValueError starts with the field name."""
+    for name in names:
+        if getattr(config, name) < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {getattr(config, name)}")
+
+
 def new_graph(node_types, edge_list, num_node_types: int | None = None,
               num_edge_types: int | None = None) -> LabeledGraph:
     """Validated construction from a type list and (i, j, type) triples of

@@ -1,17 +1,34 @@
 """Bundling of the ordering network, the denoising network and optimizer
-state into one checkpointable object."""
+state into one checkpointable object.
+
+A checkpoint names each array after its network: `ordering.<name>` and
+`denoiser.<name>`, for parameters and Adam moments alike. Its manifest lists
+the ordering's parameters, then the denoiser's, then the denoiser's Adam
+moments, then the ordering's; `NETWORKS` is the one table both `save` and
+`load` loop over.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Parameter
 from .denoiser import DenoiserConfig, DenoiserNet
 from .optim import (AdamState, CheckpointError, check_shapes, load_checkpoint,
                     save_checkpoint)
 from .ordering import OrderingConfig, OrderingNet
+
+# label -> (network class, config class); the label prefixes the network's
+# names in a checkpoint and names its bundle fields, `<label>` and `adam_<label>`
+NETWORKS = {"ordering": (OrderingNet, OrderingConfig),
+            "denoiser": (DenoiserNet, DenoiserConfig)}
+
+
+def _renamed(state: AdamState, rename) -> AdamState:
+    """`state` with each moment's name mapped through `rename`."""
+    return replace(state, m={rename(k): a for k, a in state.m.items()},
+                   v={rename(k): a for k, a in state.v.items()})
 
 
 @dataclass
@@ -33,21 +50,15 @@ class ModelBundle:
         )
 
     def save(self, path) -> None:
-        params = {f"ordering.{k}": p for k, p in self.ordering.params.items()}
-        params.update((f"denoiser.{k}", p) for k, p in self.denoiser.params.items())
-
-        def prefixed(state: AdamState, prefix: str) -> AdamState:
-            out = AdamState(lr=state.lr, beta1=state.beta1, beta2=state.beta2,
-                            eps=state.eps, step=state.step)
-            out.m = {f"{prefix}.{k}": v for k, v in state.m.items()}
-            out.v = {f"{prefix}.{k}": v for k, v in state.v.items()}
-            return out
-
-        save_checkpoint(path, params,
-                        optimizers={"denoiser": prefixed(self.adam_denoiser, "denoiser"),
-                                    "ordering": prefixed(self.adam_ordering, "ordering")},
-                        config={"ordering": self.ordering.config.to_dict(),
-                                "denoiser": self.denoiser.config.to_dict()})
+        nets = {label: getattr(self, label) for label in NETWORKS}
+        params = {f"{label}.{k}": p for label, net in nets.items()
+                  for k, p in net.params.items()}
+        # the denoiser's moments precede the ordering's in the manifest
+        optimizers = {label: _renamed(getattr(self, f"adam_{label}"),
+                                      lambda k, label=label: f"{label}.{k}")
+                      for label in reversed(NETWORKS)}
+        save_checkpoint(path, params, optimizers=optimizers,
+                        config={label: net.config.to_dict() for label, net in nets.items()})
 
     @classmethod
     def load(cls, path) -> "ModelBundle":
@@ -55,37 +66,24 @@ class ModelBundle:
         its parameters do not fit its stored config."""
         params, optimizers, config = load_checkpoint(path)
         try:
-            ordering_config = OrderingConfig(**config["ordering"])
-            denoiser_config = DenoiserConfig(**config["denoiser"])
-            adam = {label: optimizers[label] for label in ("denoiser", "ordering")}
-            expected = {f"ordering.{name}": shape
-                        for name, shape, _ in OrderingNet.param_specs(ordering_config)}
-            expected.update((f"denoiser.{name}", shape)
-                            for name, shape, _ in DenoiserNet.param_specs(denoiser_config))
+            configs = {label: config_cls(**config[label])
+                       for label, (_, config_cls) in NETWORKS.items()}
+            adam = {label: optimizers[label] for label in reversed(NETWORKS)}
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from None
         except ValueError as exc:
             raise CheckpointError(f"{path}: bad model config: {exc}") from None
-        check_shapes(params, expected, path)
-
-        def split(prefix: str) -> dict[str, Parameter]:
-            out = {}
-            for name, p in params.items():
-                if name.startswith(prefix + "."):
-                    p.name = name[len(prefix) + 1:]
-                    out[p.name] = p
-            return out
-
-        def localized(state: AdamState, prefix: str) -> AdamState:
-            out = AdamState(lr=state.lr, beta1=state.beta1, beta2=state.beta2,
-                            eps=state.eps, step=state.step)
-            out.m = {k[len(prefix) + 1:]: v for k, v in state.m.items()}
-            out.v = {k[len(prefix) + 1:]: v for k, v in state.v.items()}
-            return out
-
-        return cls(
-            ordering=OrderingNet(ordering_config, split("ordering")),
-            denoiser=DenoiserNet(denoiser_config, split("denoiser")),
-            adam_denoiser=localized(adam["denoiser"], "denoiser"),
-            adam_ordering=localized(adam["ordering"], "ordering"),
-        )
+        check_shapes(params, {f"{label}.{name}": shape
+                              for label, (net_cls, _) in NETWORKS.items()
+                              for name, shape, _ in net_cls.param_specs(configs[label])},
+                     path)
+        # every name is now `<label>.<name>`: each network gets its own, unprefixed
+        own = {label: {} for label in NETWORKS}
+        for name, p in params.items():
+            label, p.name = name.split(".", 1)
+            own[label][p.name] = p
+        fields = {}
+        for label, (net_cls, _) in NETWORKS.items():
+            fields[label] = net_cls(configs[label], own[label])
+            fields[f"adam_{label}"] = _renamed(adam[label], lambda k: k.split(".", 1)[1])
+        return cls(**fields)

@@ -115,7 +115,7 @@ def save_checkpoint(path, params: dict[str, Parameter],
 
 def load_checkpoint(path):
     """Returns (params, optimizers, config); raises CheckpointError on a
-    malformed file."""
+    malformed file or a parameter or moment that holds NaN or inf."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
@@ -131,6 +131,9 @@ def load_checkpoint(path):
             raise
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from None
+    for n, p in params.items():
+        if not np.isfinite(p.data).all():
+            raise CheckpointError(f"{path}: parameter {n!r} holds a non-finite value")
     for label, st in optimizers.items():
         for kind, moments in (("m", st.m), ("v", st.v)):
             for n, a in moments.items():
@@ -141,6 +144,9 @@ def load_checkpoint(path):
                     raise CheckpointError(f"{path}: optimizer {label!r} moment {kind} of "
                                           f"{n!r} has shape {a.shape}, parameter has "
                                           f"{params[n].data.shape}")
+                if not np.isfinite(a).all():
+                    raise CheckpointError(f"{path}: optimizer {label!r} moment {kind} of "
+                                          f"{n!r} holds a non-finite value")
         if st.m.keys() != st.v.keys():
             raise CheckpointError(f"{path}: optimizer {label!r} has unpaired moments")
     return params, optimizers, header.get("config", {})

@@ -20,9 +20,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tape, Tensor
+from .autodiff import Tape, Tensor
 from .graphs import (ABSENT, DiffusionTrajectory, GraphError, LabeledGraph,
-                     check_config_numbers, forward_trajectory)
+                     check_at_least, check_config_numbers, forward_trajectory)
 
 
 def positional_encoding(position: int, dim: int) -> np.ndarray:
@@ -53,11 +53,8 @@ class OrderingConfig:
         # Each message starts with the field name; RunConfig maps it to its key.
         check_config_numbers(self, ("num_node_types", "layers", "heads", "hidden",
                                     "embed_dim", "pe_dim"))
-        for name in ("num_node_types", "heads", "hidden", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
+        check_at_least(self, 1, ("num_node_types", "heads", "hidden", "embed_dim"))
+        check_at_least(self, 0, ("layers",))
         if self.pe_dim < 2 or self.pe_dim % 2:
             raise ValueError(f"pe_dim must be even and >= 2, got {self.pe_dim}")
 
@@ -69,12 +66,8 @@ class OrderingConfig:
         return asdict(self)
 
 
-class OrderingNet:
+class OrderingNet(ad.Network):
     """q(ordering | graph) with a recurrent per-step categorical structure."""
-
-    def __init__(self, config: OrderingConfig, params: dict[str, Parameter]):
-        self.config = config
-        self.params = params
 
     @staticmethod
     def param_specs(config: OrderingConfig) -> list[tuple[str, tuple[int, ...], int]]:
@@ -100,17 +93,7 @@ class OrderingNet:
         add("w_out", (d,), d)
         return specs
 
-    @classmethod
-    def init(cls, config: OrderingConfig, rng: np.random.Generator) -> "OrderingNet":
-        return cls(config, {name: Parameter(name, ad.uniform_init(rng, shape, fan_in))
-                            for name, shape, fan_in in cls.param_specs(config)})
-
     # -- forward ------------------------------------------------------------
-
-    def _get(self, tape: Tape | None, name: str) -> Tensor:
-        if tape is None:
-            return Tensor(self.params[name].data)
-        return tape.watch(self.params[name])
 
     def layer_weights(self, tape: Tape | None = None) -> list[tuple[Tensor, Tensor, Tensor]]:
         """Each layer's heads as one (d, heads * hidden) projection and

@@ -32,8 +32,8 @@ import numpy as np
 
 from .autodiff import NonFiniteError, Tape
 from .denoiser import DenoiserNet
-from .graphs import (DiffusionTrajectory, LabeledGraph, absorb_node,
-                     denoising_view, forward_trajectory, observed_step)
+from .graphs import (DiffusionTrajectory, LabeledGraph, absorb_node, check_at_least,
+                     denoising_view, forward_trajectory, is_finite_real, observed_step)
 from .model import ModelBundle
 from .optim import adam_step
 from .ordering import OrderingNet
@@ -62,16 +62,13 @@ class TrainConfig:
 
     def __post_init__(self):
         # Each message starts with the field name; RunConfig maps it to its key.
-        for name in ("batch_size", "val_batch_size", "trajectories", "timesteps",
-                     "soft_label_top_k"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("epochs", "eval_every", "select_samples"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_at_least(self, 1, ("batch_size", "val_batch_size", "trajectories",
+                                 "timesteps", "soft_label_top_k"))
+        check_at_least(self, 0, ("epochs", "eval_every", "select_samples"))
         for name in ("lr_denoiser", "lr_ordering"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            lr = getattr(self, name)
+            if not is_finite_real(lr) or not lr > 0:
+                raise ValueError(f"{name} must be a finite number > 0, got {lr}")
         if not 0.0 <= self.baseline_decay <= 1.0:
             raise ValueError(f"baseline_decay must be in [0, 1], got {self.baseline_decay}")
 

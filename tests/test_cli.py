@@ -665,3 +665,51 @@ class TestBadCheckpointScalars:
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"error: {path}:"), err
         assert "leaky_slope" in err[0], err
+
+
+def _nan_parameter(params, optimizers):
+    params["denoiser.node_embed"].data[0, 0] = math.nan
+
+
+def _inf_moment(params, optimizers):
+    embed = params["ordering.embed"].data
+    optimizers["ordering"].m["ordering.embed"] = np.full_like(embed, math.inf)
+    optimizers["ordering"].v["ordering.embed"] = np.zeros_like(embed)
+
+
+class TestNonFiniteCheckpoint:
+    """A checkpoint holding NaN or inf is refused with one `error:` line
+    naming the file, by every command that reads one."""
+
+    @pytest.mark.parametrize("corrupt", [_nan_parameter, _inf_moment],
+                             ids=["nan-parameter", "inf-moment"])
+    @pytest.mark.parametrize("command", ["generate", "nll"])
+    def test_one_error_line_naming_the_file(self, tmp_path, tiny_checkpoint, capsys,
+                                            corrupt, command):
+        _rewrite(corrupt)(Path(tiny_checkpoint))
+        if command == "generate":
+            argv = ["generate", "--checkpoint", tiny_checkpoint, "--count", 1,
+                    "--n", 3, "--out", tmp_path / "g.jsonl"]
+        else:
+            corpus = tmp_path / "c.jsonl"
+            assert run(["make-dataset", "--kind", "caveman", "--count", 1,
+                        "--seed", 8, "--out", corpus]) == 0
+            capsys.readouterr()
+            argv = ["nll", "--checkpoint", tiny_checkpoint, "--corpus", corpus,
+                    "--samples", 2, "--seed", 1, "--out", tmp_path / "n.jsonl"]
+        assert run(argv) == 1
+        line = _one_error_line(capsys)
+        assert line.startswith(f"error: {tiny_checkpoint}: "), line
+        assert "non-finite" in line, line
+
+
+class TestInfiniteLearningRate:
+    @pytest.mark.parametrize("key", ["lr_denoiser", "lr_ordering"])
+    def test_one_error_line_before_any_checkpoint(self, tmp_path, capsys, key):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("not json\n")
+        config = _write_config(tmp_path, corpus, train={key: "inf"})
+        assert run(["train", "--config", config]) == 1
+        line = _one_error_line(capsys)
+        assert f"'{key}' in [train]" in line, line
+        assert not (tmp_path / "ckpts").exists()

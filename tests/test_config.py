@@ -1,12 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from agd.config import _SCHEMA, ConfigError, RunConfig
+from agd.config import _SCHEMA, ConfigError, RunConfig, _parse
 from agd.denoiser import DenoiserConfig
 from agd.metrics import descriptors_csv
 from agd.graphs import new_graph
+from agd.ordering import OrderingConfig
+from agd.training import TrainConfig
 
 
 def write_config(tmp_path, body):
@@ -149,3 +153,52 @@ class TestDescriptorCsv:
         # parse back: g1 padded with zero for the degree-2 bin
         row1 = [float(v) for v in lines[1].split(",")[1:]]
         assert row1 == [0.0, 1.0, 0.0]
+
+
+class TestSchemaFromDataclasses:
+    def test_minimal_config_builds_the_dataclass_defaults(self, tmp_path):
+        cfg = RunConfig.load(write_config(tmp_path, MINIMAL))
+        assert cfg.ordering_config() == OrderingConfig(2)
+        assert cfg.denoiser_config() == DenoiserConfig(2, 3)
+        assert cfg.train_config() == TrainConfig(epochs=10, seed=11)
+
+    @pytest.mark.parametrize("section", ["model", "train"])
+    def test_every_type_tag_is_one_the_parser_reads(self, section):
+        # any other tag would be read as text
+        for key, (kind, _) in _SCHEMA[section].items():
+            assert kind in ("int", "float", "bool", "str"), (key, kind)
+
+
+def _readme_config_block():
+    """[(section, key, value)] of the README's `ini` config reference, with
+    `;` comments stripped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    entries, section = [], None
+    for line in block.splitlines():
+        line = line.split(";", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            entries.append((section, key, value))
+    return entries
+
+
+class TestReadmeConfigReference:
+    def test_keys_are_the_schema_keys(self):
+        listed = [(section, key) for section, key, _ in _readme_config_block()]
+        schema = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(schema)
+
+    def test_defaults_are_the_schema_defaults(self):
+        checked = 0
+        for section, key, value in _readme_config_block():
+            kind, default = _SCHEMA[section][key]
+            if section in ("model", "train") and default is not None:
+                assert _parse(section, key, kind, value) == default, (section, key)
+                checked += 1
+        assert checked == sum(default is not None
+                              for section in ("model", "train")
+                              for _, default in _SCHEMA[section].values())

@@ -153,3 +153,44 @@ class TestCheckpointFile:
         save_checkpoint(path, params_of({"w": np.ones(2)}), {"opt": state})
         with pytest.raises(CheckpointError, match="ghost"):
             load_checkpoint(path)
+
+
+class TestNonFiniteValuesRefused:
+    """A checkpoint holding NaN or inf in any array fails as CheckpointError
+    naming the file and the array, in either format version."""
+
+    @staticmethod
+    def _write(path, version, bad, where):
+        w, m, v = np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
+        {"param": w, "m": m, "v": v}[where][1, 0] = bad
+        if version == 2:
+            state = AdamState(lr=0.1, step=1, m={"w": m}, v={"w": v})
+            save_checkpoint(path, params_of({"w": w}), {"opt": state})
+            return
+        doc = {"format_version": 1, "config": {},
+               "params": {"w": {"shape": [2, 2], "data": w.reshape(-1).tolist()}},
+               "optimizers": {"opt": {"lr": 0.1, "beta1": 0.9, "beta2": 0.999,
+                                      "eps": 1e-8, "step": 1,
+                                      "m": {"w": m.reshape(-1).tolist()},
+                                      "v": {"w": v.reshape(-1).tolist()}}}}
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where, named", [
+        ("param", "parameter 'w'"), ("m", "moment m of 'w'"), ("v", "moment v of 'w'")])
+    def test_refused_naming_file_and_array(self, tmp_path, version, bad, where, named):
+        path = tmp_path / "c.ckpt"
+        self._write(path, version, bad, where)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and named in message, message
+        assert "non-finite" in message
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_finite_extremes_load(self, tmp_path, version):
+        path = tmp_path / "c.ckpt"
+        self._write(path, version, np.finfo(np.float64).max, "param")
+        params, _, _ = load_checkpoint(path)
+        assert params["w"].data[1, 0] == np.finfo(np.float64).max

@@ -593,3 +593,10 @@ class TestNonFiniteReinforce:
         # the ordering network was left as it was before the update
         assert all(np.array_equal(p.data, before[name])
                    for name, p in model.ordering.params.items())
+
+
+@pytest.mark.parametrize("field", ["lr_denoiser", "lr_ordering"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, True])
+def test_train_config_requires_finite_learning_rates(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        TrainConfig(epochs=1, **{field: value})
