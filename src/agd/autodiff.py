@@ -322,6 +322,34 @@ def matmul(a, b) -> Tensor:
     return _result(out, [a, b], [grad_a, grad_b])
 
 
+def matmul_blocks(parts, w) -> Tensor:
+    """Products of (1, P_i, k) blocks with one (k, n) matrix, joined along the
+    rows: (1, sum P_i, n). Each block is multiplied by `w` alone, so its rows
+    carry the bits of its own `matmul` (BLAS takes a one-row block through its
+    matrix-vector path, whose bits differ inside a larger product). Each
+    block's gradient is its own product too; `w`'s is one product over all
+    the rows."""
+    parts, w = [as_tensor(p) for p in parts], as_tensor(w)
+    wd = w.data
+    if not parts or wd.ndim != 2 or any(
+            p.data.ndim != 3 or p.data.shape[0] != 1 or p.data.shape[2] != wd.shape[0]
+            for p in parts):
+        raise ShapeError("matmul_blocks needs (1, P, k) blocks and a (k, n) matrix, "
+                         f"got {[p.data.shape for p in parts]} and {wd.shape}")
+    datas = [p.data for p in parts]
+    out = np.concatenate([d @ wd for d in datas], axis=1)
+    offsets = np.cumsum([0] + [d.shape[1] for d in datas])
+
+    def make_vjp(i):
+        lo, hi = offsets[i], offsets[i + 1]
+        return lambda g: g[:, lo:hi] @ wd.T
+
+    def grad_w(g):
+        return np.concatenate(datas, axis=1)[0].T @ g[0]
+
+    return _result(out, parts + [w], [make_vjp(i) for i in range(len(parts))] + [grad_w])
+
+
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     if not parts:

@@ -13,6 +13,10 @@ do not exchange one; absence is only an outcome of the edge head.
 
 Every forward runs over a stack of views of one size, and one view is a
 stack of one; each view of a stack gets the bits of its own stack of one.
+Training's taped views, of any sizes, go through `taped_log_likelihoods`:
+one trunk per view, then each edge head once over all the views' pair rows,
+so a head's weights get one gradient product per call. Each view's values
+still carry the bits of its own stack of one.
 """
 
 from __future__ import annotations
@@ -258,14 +262,24 @@ class DenoiserNet(ad.Network):
                                    self._get(tape, "mh2"), self._get(tape, "mh2b")), axis=1)
         return node_logp, _log_softmax(mix_logits), pair
 
-    def _edge_logits(self, pair: Tensor, k: int, tape: Tape | None) -> Tensor:
+    def _edge_logits(self, pair, k: int, tape: Tape | None) -> Tensor:
         """Mixture component k's edge head over (B, P, 3d) pair features:
-        (B, P, E) logits. The narrow output layer is an einsum: BLAS gives
-        its rows bits that depend on their position."""
-        hidden = ad.relu(ad.add(ad.matmul(pair, self._get(tape, f"eh{k}_1")),
-                                self._get(tape, f"eh{k}_1b")))
+        (B, P, E) logits. `pair` may also be a list of (1, P_i, 3d) blocks,
+        one per view; the head then runs over all their rows at once,
+        (1, sum P_i, E), each block's rows with the bits of its own head.
+        The narrow output layer is an einsum: BLAS gives its rows bits that
+        depend on their position."""
+        w1 = self._get(tape, f"eh{k}_1")
+        first = ad.matmul_blocks(pair, w1) if isinstance(pair, list) else ad.matmul(pair, w1)
+        hidden = ad.relu(ad.add(first, self._get(tape, f"eh{k}_1b")))
         return ad.add(ad.einsum("bpi,ie->bpe", hidden, self._get(tape, f"eh{k}_2")),
                       self._get(tape, f"eh{k}_2b"))
+
+    def _edge_log_probs(self, pair, tape: Tape | None) -> Tensor:
+        """All K components' edge log-probs, (B, K, P, E), over the pair
+        features that `_edge_logits` takes."""
+        return _log_softmax(ad.stack([self._edge_logits(pair, k, tape)
+                                      for k in range(self.config.mixtures)], axis=1))
 
     def _stack_log_heads(self, views, tape: Tape | None):
         """(node log-probs (B, T), mixture log-weights (B, K), edge log-probs
@@ -273,9 +287,7 @@ class DenoiserNet(ad.Network):
         node_logp, mix_logw, pair = self._stack_trunk(views, tape)
         if pair is None:
             return node_logp, None, None
-        edge_logits = ad.stack([self._edge_logits(pair, k, tape)
-                                for k in range(self.config.mixtures)], axis=1)
-        return node_logp, mix_logw, _log_softmax(edge_logits)
+        return node_logp, mix_logw, self._edge_log_probs(pair, tape)
 
     def _log_heads(self, view: DenoisingView, tape: Tape | None):
         """(node log-probs, mixture log-weights, edge log-probs of shape (K, P, E))."""
@@ -304,10 +316,16 @@ class DenoiserNet(ad.Network):
     def _stack_log_likelihood(self, views, node_types, observed_edges,
                               tape: Tape | None) -> Tensor:
         """The (B,) step log-likelihoods of B views of one size."""
-        c = self.config
         for view, node_type, observed in zip(views, node_types, observed_edges):
             self._check_labels(view, node_type, observed)
-        node_logp, mix_logw, edge_logp = self._stack_log_heads(views, tape)
+        return self._heads_log_likelihood(views, node_types, observed_edges,
+                                          *self._stack_log_heads(views, tape))
+
+    def _heads_log_likelihood(self, views, node_types, observed_edges, node_logp,
+                              mix_logw, edge_logp) -> Tensor:
+        """The (B,) step log-likelihoods of B views of one size, from their
+        `_stack_log_heads`."""
+        c = self.config
         B = len(views)
         ll = ad.take(ad.reshape(node_logp, (B * c.num_node_types,)),
                      np.arange(B) * c.num_node_types + node_types)
@@ -319,6 +337,38 @@ class DenoiserNet(ad.Network):
                    [observed[v] for v in view.prev_nodes()]] = 1.0
         comps = ad.tsum(ad.tsum(ad.mul(edge_logp, onehot), axis=3), axis=2)   # (B, K)
         return ad.add(ll, ad.logsumexp(ad.add(mix_logw, comps), axis=1))
+
+    def taped_log_likelihoods(self, views, node_types, observed_edges,
+                              tape: Tape) -> list[Tensor]:
+        """The step log-likelihoods of views of any sizes, with one node type
+        and one observed-edge dict per view, as 0-d tensors on `tape`, each
+        with the bits of its own `step_log_likelihood` call.
+
+        Each view runs its own trunk. Each edge head then runs once over all
+        the views' pair rows, so its weights get one gradient product for
+        the lot rather than one per view; each view's scoring then reads its
+        own rows."""
+        K = self.config.mixtures
+        for view, node_type, observed in zip(views, node_types, observed_edges,
+                                             strict=True):
+            self._check_labels(view, node_type, observed)
+        trunks = [self._trunk(view, tape) for view in views]
+        pairs = [pair for _, _, pair in trunks if pair is not None]
+        if pairs:
+            edge_logp = self._edge_log_probs(pairs, tape)         # (1, K, sum P, E)
+            lanes = np.arange(K)[:, None] * edge_logp.shape[2]    # row of each k's first pair
+        out, lo = [], 0
+        for view, node_type, observed, (node_logp, mix_logw, pair) in zip(
+                views, node_types, observed_edges, trunks):
+            own = None
+            if pair is not None:
+                hi = lo + pair.shape[1]
+                own = ad.rows(edge_logp, (lanes + np.arange(lo, hi))[None])   # (1, K, P, E)
+                lo = hi
+            ll = self._heads_log_likelihood([view], [node_type], [observed],
+                                            node_logp, mix_logw, own)
+            out.append(ad.reshape(ll, ()))
+        return out
 
     def step_log_likelihood(self, view, node_type, observed_edges,
                             tape: Tape | None = None):

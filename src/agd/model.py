@@ -84,6 +84,11 @@ class ModelBundle:
             own[label][p.name] = p
         fields = {}
         for label, (net_cls, _) in NETWORKS.items():
+            # load_checkpoint matched each moment to a parameter, and m to v
+            stray = [k for k in adam[label].m if not k.startswith(f"{label}.")]
+            if stray:
+                raise CheckpointError(f"{path}: optimizer {label!r} has a moment for "
+                                      f"{stray[0]!r}, a parameter of another network")
             fields[label] = net_cls(configs[label], own[label])
             fields[f"adam_{label}"] = _renamed(adam[label], lambda k: k.split(".", 1)[1])
         return cls(**fields)

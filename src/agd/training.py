@@ -15,8 +15,11 @@ Every untaped step log-likelihood, the rewards here and the NLLs of
 dict from `DenoisingView` to a float, kept per graph. It makes one stacked
 `step_log_likelihood` call per view size, whose slices carry the bits of
 single views, and an untaped loss sums the memo's floats in the loss's term
-order, so it equals a view-at-a-time sum bit for bit. Taped losses run one
-forward per view.
+order, so it equals a view-at-a-time sum bit for bit. A taped loss makes one
+`DenoiserNet.taped_log_likelihoods` call over its trajectory's views, so
+each edge head is one op per trajectory and its weights get one gradient
+product; `fit` sums each trajectory's gradients into one accumulator in
+place.
 """
 
 from __future__ import annotations
@@ -161,16 +164,21 @@ def fill_step_memos(denoiser: DenoiserNet, items) -> None:
 def weighted_log_likelihood(graph: LabeledGraph, views, denoiser: DenoiserNet,
                             tape=None, memo: dict | None = None):
     """sum w * log p(candidate) over `loss_views` items, added in their order
-    from the first term. Taped, a Tensor with one forward per view; untaped,
-    a float read through `memo` (or a memo of its own) once `fill_step_memos`
+    from the first term. Taped, a Tensor from one
+    `DenoiserNet.taped_log_likelihoods` call over all the views; untaped, a
+    float read through `memo` (or a memo of its own) once `fill_step_memos`
     has filled it."""
-    if tape is not None:
-        return reduce(operator.add, (denoiser.step_log_likelihood(
-            view, *observed_step(graph, state, cand), tape) * w
-            for view, state, cand, w in views))
-    views, memo = tuple(views), {} if memo is None else memo
-    fill_step_memos(denoiser, [(graph, views, memo)])
-    return reduce(operator.add, (memo[view] * w for view, _, _, w in views))
+    views = tuple(views)
+    if tape is None:
+        memo = {} if memo is None else memo
+        fill_step_memos(denoiser, [(graph, views, memo)])
+        lls = [memo[view] for view, *_ in views]
+    else:
+        node_types, edges = zip(*(observed_step(graph, state, cand)
+                                  for _, state, cand, _ in views))
+        lls = denoiser.taped_log_likelihoods([view for view, *_ in views],
+                                             node_types, edges, tape)
+    return reduce(operator.add, (ll * w for ll, (*_, w) in zip(lls, views)))
 
 
 def compute_reward(graph: LabeledGraph, trajectory: DiffusionTrajectory,
@@ -183,10 +191,10 @@ def compute_reward(graph: LabeledGraph, trajectory: DiffusionTrajectory,
 
 def _accumulate_gradients(acc: dict, params: dict, loss_fn, scale=None) -> float:
     """Add the gradients of `loss_fn(tape)` over every parameter in `params`,
-    times `scale` when given, to `acc`; return the loss value. The tape, its
-    activations and the gradients die on return, so a caller looping over
-    trajectories holds one tape at a time. A non-finite `scale` raises
-    NonFiniteError, as a non-finite op would."""
+    times `scale` when given, to `acc` in place; return the loss value. The
+    tape, its activations and the gradients die on return, so a caller
+    looping over trajectories holds one tape at a time. A non-finite `scale`
+    raises NonFiniteError, as a non-finite op would."""
     if scale is not None and not math.isfinite(scale):
         raise NonFiniteError(f"non-finite gradient scale {scale}")
     tape = Tape()
@@ -196,7 +204,10 @@ def _accumulate_gradients(acc: dict, params: dict, loss_fn, scale=None) -> float
     for name, g in tape.gradients(loss).items():
         if scale is not None:
             g = scale * g
-        acc[name] = acc[name] + g if name in acc else g
+        if name in acc:
+            acc[name] += g
+        else:   # a copy: gradients may share memory (`add` hands both parents one array)
+            acc[name] = g.copy()
     return loss.item()
 
 
@@ -298,8 +309,8 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
                 lambda tape: denoiser_loss(graph, traj, ts, model.denoiser,
                                            config.soft_label_top_k, tape))
             terms += 1
-        scale = 1.0 / config.trajectories
-        grads_acc = {k: v * scale for k, v in grads_acc.items()}
+        for g in grads_acc.values():
+            g *= 1.0 / config.trajectories
         adam_step(model.denoiser.params, grads_acc, model.adam_denoiser)
         return batch_loss / terms
 

@@ -154,6 +154,58 @@ def test_grad_check_logsumexp_and_gather():
     assert grad_check(fn, params) < 1e-4
 
 
+def test_grad_check_matmul_blocks():
+    rng = np.random.default_rng(7)
+    params = {f"x{i}": Parameter(f"x{i}", rng.normal(size=(1, rows, 4)))
+              for i, rows in enumerate((1, 3, 2))}
+    params["w"] = Parameter("w", uniform_init(rng, (4, 5), 4))
+    weights = rng.normal(size=(1, 6, 5))
+
+    def fn(tape):
+        get = (lambda p: tape.watch(p)) if tape is not None else (lambda p: Tensor(p.data))
+        out = ad.matmul_blocks([get(params[f"x{i}"]) for i in range(3)], get(params["w"]))
+        return ad.tsum(ad.mul(ad.tanh(out), weights))
+
+    assert grad_check(fn, params) < 1e-6
+
+
+class TestMatmulBlocks:
+    def test_each_block_has_the_bits_of_its_own_matmul(self):
+        """At the default edge-head widths, blocks of 1 to 15 rows, each
+        1-row block included: BLAS gives a lone row other bits than the same
+        row inside a larger product, so each block is multiplied alone."""
+        rng = np.random.default_rng(8)
+        w = Parameter("w", uniform_init(rng, (384, 256), 384))
+        sizes = [1, 15, 2, 1, 7, 3, 11, 1, 4, 5, 6, 8, 9, 10, 12, 13, 14, 1]
+        parts = [Parameter(f"x{i}", rng.normal(size=(1, rows, 384)))
+                 for i, rows in enumerate(sizes)]
+        upstream = rng.normal(size=(1, sum(sizes), 256))
+        tape = Tape()
+        out = ad.matmul_blocks([tape.watch(p) for p in parts], tape.watch(w))
+        grads = tape.gradients(ad.tsum(ad.mul(out, upstream)))
+        lo = 0
+        for p, rows in zip(parts, sizes):
+            alone = Tape()
+            own = ad.matmul(alone.watch(p), alone.watch(w))
+            assert np.array_equal(out.data[:, lo:lo + rows], own.data), rows
+            own_grad = alone.gradients(ad.tsum(ad.mul(own, upstream[:, lo:lo + rows])))
+            assert np.array_equal(grads[p.name], own_grad[p.name]), rows
+            lo += rows
+        joined = np.concatenate([p.data for p in parts], axis=1)[0]
+        assert np.array_equal(grads["w"], joined.T @ upstream[0])
+
+    @pytest.mark.parametrize("parts, w", [
+        ([], np.ones((3, 2))),
+        ([np.ones((2, 3))], np.ones((3, 2))),
+        ([np.ones((2, 1, 3))], np.ones((3, 2))),
+        ([np.ones((1, 2, 3)), np.ones((1, 2, 4))], np.ones((3, 2))),
+        ([np.ones((1, 2, 3))], np.ones(3)),
+    ], ids=["no-block", "2-d", "stack", "width", "vector"])
+    def test_bad_shapes_are_refused(self, parts, w):
+        with pytest.raises(ShapeError, match="matmul_blocks"):
+            ad.matmul_blocks(parts, w)
+
+
 def test_grad_check_rejects_nondeterministic_fn():
     rng = np.random.default_rng(6)
     w = Parameter("w", np.ones(2))
@@ -440,6 +492,7 @@ def _loss_through_every_op(tape: Tape) -> Tensor:
         ad.masked_softmax(w, np.array([True, False, True, True])),
         ad.einsum("ij,j->i", w, v), ad.logsumexp(w, axis=1), ad.logsumexp(v),
         ad.gru_cell(h, v, gru),
+        ad.matmul_blocks([ad.reshape(w, (1, 4, 4)), ad.reshape(h, (1, 1, 4))], w),
     ]
     total = ad.tsum(parts[0])
     for part in parts[1:]:

@@ -703,6 +703,45 @@ class TestNonFiniteCheckpoint:
         assert "non-finite" in line, line
 
 
+def _misfiled_moment(owner, name):
+    """Give optimizer `owner` zero Adam moments for the parameter `name`."""
+    def edit(params, optimizers):
+        zeros = np.zeros_like(params[name].data)
+        optimizers[owner].m[name] = zeros
+        optimizers[owner].v[name] = zeros.copy()
+    return edit
+
+
+class TestMisfiledMoment:
+    """An optimizer holding a moment for the other network's parameter is
+    refused, not loaded under a stripped name that a later save could not
+    load back."""
+
+    @pytest.mark.parametrize("owner, name", [("denoiser", "ordering.embed"),
+                                             ("ordering", "denoiser.nh1")])
+    def test_load_names_the_file_optimizer_and_moment(self, tiny_checkpoint, owner, name):
+        _rewrite(_misfiled_moment(owner, name))(Path(tiny_checkpoint))
+        load_checkpoint(tiny_checkpoint)        # well formed on its own
+        with pytest.raises(CheckpointError) as info:
+            ModelBundle.load(tiny_checkpoint)
+        message = str(info.value)
+        assert message.startswith(f"{tiny_checkpoint}: ")
+        assert f"optimizer {owner!r}" in message and repr(name) in message
+
+    def test_generate_prints_one_error_line(self, tmp_path, tiny_checkpoint, capsys):
+        _rewrite(_misfiled_moment("denoiser", "ordering.embed"))(Path(tiny_checkpoint))
+        assert run(["generate", "--checkpoint", tiny_checkpoint, "--count", 1,
+                    "--n", 3, "--out", tmp_path / "g.jsonl"]) == 1
+        line = _one_error_line(capsys)
+        assert line.startswith(f"error: {tiny_checkpoint}: "), line
+        assert "'ordering.embed'" in line, line
+        assert not (tmp_path / "g.jsonl").exists()
+
+    def test_own_moments_still_load(self, tiny_checkpoint):
+        _rewrite(_misfiled_moment("denoiser", "denoiser.nh1"))(Path(tiny_checkpoint))
+        assert list(ModelBundle.load(tiny_checkpoint).adam_denoiser.m) == ["nh1"]
+
+
 class TestInfiniteLearningRate:
     @pytest.mark.parametrize("key", ["lr_denoiser", "lr_ordering"])
     def test_one_error_line_before_any_checkpoint(self, tmp_path, capsys, key):

@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import gc
 import itertools
 import json
 import math
+import operator
 import os
 import weakref
 
@@ -13,7 +15,8 @@ import agd.autodiff as autodiff
 import agd.training as training
 from agd.autodiff import Tape, grad_check
 from agd.denoiser import DenoiserConfig, DenoiserNet
-from agd.graphs import DenoisingView, forward_trajectory, new_graph, permute
+from agd.graphs import (DenoisingView, GraphError, forward_trajectory, new_graph,
+                        observed_step, permute)
 from agd.likelihood import trajectory_nll
 from agd.model import ModelBundle
 from agd.ordering import OrderingConfig, OrderingNet
@@ -520,6 +523,110 @@ class TestOneUntapedEvaluator:
         # every reward of the reference came from its own compute_reward call
         assert len(redirected) == cfg.epochs * len(graphs) * cfg.trajectories
         assert got == want
+
+
+def _taped_step_terms(graph, traj, top_k):
+    """A trajectory's loss views over every timestep (so its 1-node and
+    2-node views too) and their labels."""
+    items = list(training.loss_views(traj, range(1, graph.n + 1), top_k))
+    labels = [observed_step(graph, state, cand) for _, state, cand, _ in items]
+    return items, labels
+
+
+def _weighted_gradients(denoiser, items, lls_on):
+    """(log-likelihood values, gradients) of sum w * ll over `items`, with
+    the lls from `lls_on(tape)`, on a tape that registers every parameter."""
+    tape = Tape()
+    for p in denoiser.params.values():
+        tape.register(p)
+    lls = lls_on(tape)
+    loss = functools.reduce(operator.add, (ll * w for ll, (*_, w) in zip(lls, items)))
+    return [ll.item() for ll in lls], tape.gradients(loss)
+
+
+class TestTapedTrajectory:
+    """`taped_log_likelihoods` runs each edge head once over a trajectory's
+    views; every value keeps the bits of one taped view at a time, and only
+    the edge heads' weight and bias gradients, summed over all the rows at
+    once, may move."""
+
+    @pytest.mark.parametrize("paper", [False, True], ids=["tiny", "paper"])
+    @pytest.mark.parametrize("aggregator", ["gat", "gru-gate"])
+    @pytest.mark.parametrize("top_k", [1, 3])
+    def test_equals_one_taped_view_at_a_time(self, paper, aggregator, top_k):
+        widths = ({} if paper else dict(layers=2, hidden=6, mlp_hidden=8, mixtures=3))
+        denoiser = DenoiserNet.init(DenoiserConfig(2, 3, aggregator=aggregator, **widths),
+                                    np.random.default_rng(11))
+        ordering = OrderingNet.init(OrderingConfig(num_node_types=2, layers=1, heads=2,
+                                                   hidden=3, embed_dim=4, pe_dim=4),
+                                    np.random.default_rng(12))
+        graph = new_graph([0, 1, 1, 0, 1, 0],
+                          [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2), (3, 4, 1),
+                           (4, 5, 2), (1, 5, 1)], 2, 3)
+        traj = ordering.sample_ordering(graph, np.random.default_rng(top_k))
+        items, labels = _taped_step_terms(graph, traj, top_k)
+        views = [view for view, *_ in items]
+        assert {1, 2} <= {view.size for view in views}
+        ref_lls, ref_grads = _weighted_gradients(denoiser, items, lambda tape: [
+            denoiser.step_log_likelihood(view, *label, tape)
+            for view, label in zip(views, labels)])
+        node_types, edges = zip(*labels)
+        lls, grads = _weighted_gradients(denoiser, items, lambda tape: (
+            denoiser.taped_log_likelihoods(views, node_types, edges, tape)))
+        assert lls == ref_lls
+        heads = {f"eh{k}_{part}" for k in range(denoiser.config.mixtures)
+                 for part in ("1", "1b", "2", "2b")}
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            if name in heads:
+                np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-12,
+                                           err_msg=name)
+            else:
+                assert np.array_equal(g, ref_grads[name]), name
+
+    def test_labels_are_checked_and_matched_to_views(self):
+        denoiser = _typed_model().denoiser
+        g = _typed_val_graphs()[0]
+        traj = forward_trajectory(g, [0, 1, 2, 3], (0.0,) * 4,
+                                  tuple({v: 1.0} for v in (0, 1, 2, 3)))
+        items, labels = _taped_step_terms(g, traj, 1)
+        views = [view for view, *_ in items]
+        node_types, edges = map(list, zip(*labels))
+        with pytest.raises(ValueError, match="shorter"):
+            denoiser.taped_log_likelihoods(views, node_types[:-1], edges, Tape())
+        node_types[0] = 7
+        with pytest.raises(GraphError, match="node type"):
+            denoiser.taped_log_likelihoods(views, node_types, edges, Tape())
+
+
+class TestInPlaceAccumulation:
+    def test_bits_of_acc_plus_g_with_parameters_fed_by_one_add(self):
+        """Two same-shape parameters summed by one `add` get gradients that
+        share memory; accumulating in place must not add into both through
+        one array."""
+        a = autodiff.Parameter("a", np.array([0.5, -1.25, 2.0]))
+        b = autodiff.Parameter("b", np.array([1.5, 0.25, -3.0]))
+        params = {"a": a, "b": b}
+        weights = np.array([0.3, 0.7, 1.1])
+
+        def loss(tape):
+            return autodiff.tsum(autodiff.mul(autodiff.add(tape.watch(a), tape.watch(b)),
+                                              weights))
+
+        tape = Tape()
+        shared = tape.gradients(loss(tape))
+        assert np.shares_memory(shared["a"], shared["b"])
+        acc: dict = {}
+        training._accumulate_gradients(acc, params, loss)
+        assert not np.shares_memory(acc["a"], acc["b"])
+        expected = {name: g.copy() for name, g in acc.items()}
+        for scale in (None, 0.1):
+            training._accumulate_gradients(acc, params, loss, scale)
+            for name, g in expected.items():
+                expected[name] = g + (weights if scale is None else scale * weights)
+            for name in params:
+                assert np.array_equal(acc[name], expected[name]), (name, scale)
+        assert np.array_equal(acc["a"], acc["b"])
 
 
 class TestCheckpointRoundTrip:
