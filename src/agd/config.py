@@ -101,6 +101,8 @@ class RunConfig:
         for key, (kind, _) in _SCHEMA["paths"].items():
             if kind == "in_path" and paths[key] and not os.path.exists(paths[key]):
                 raise ConfigError(f"path for '{key}' does not exist: {paths[key]}")
+            if kind == "out_path" and not os.path.isdir(os.path.dirname(paths[key]) or "."):
+                raise ConfigError(f"directory of '{key}' does not exist: {paths[key]}")
         cfg = cls(seed=values["run"]["seed"], model=values["model"],
                   train=values["train"], paths=paths)
         # reject bad values before any work

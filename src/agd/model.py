@@ -19,6 +19,10 @@ from .optim import (AdamState, CheckpointError, check_shapes, load_checkpoint,
                     save_checkpoint)
 from .ordering import OrderingConfig, OrderingNet
 
+# the Adam learning-rate defaults of both `ModelBundle.init` and `TrainConfig`
+LR_DENOISER = 1e-4
+LR_ORDERING = 5e-4
+
 # label -> (network class, config class); the label prefixes the network's
 # names in a checkpoint and names its bundle fields, `<label>` and `adam_<label>`
 NETWORKS = {"ordering": (OrderingNet, OrderingConfig),
@@ -40,8 +44,8 @@ class ModelBundle:
 
     @classmethod
     def init(cls, ordering_config: OrderingConfig, denoiser_config: DenoiserConfig,
-             rng: np.random.Generator, lr_denoiser: float = 1e-4,
-             lr_ordering: float = 5e-4) -> "ModelBundle":
+             rng: np.random.Generator, lr_denoiser: float = LR_DENOISER,
+             lr_ordering: float = LR_ORDERING) -> "ModelBundle":
         return cls(
             ordering=OrderingNet.init(ordering_config, rng),
             denoiser=DenoiserNet.init(denoiser_config, rng),

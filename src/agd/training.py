@@ -18,8 +18,18 @@ single views, and an untaped loss sums the memo's floats in the loss's term
 order, so it equals a view-at-a-time sum bit for bit. A taped loss makes one
 `DenoiserNet.taped_log_likelihoods` call over its trajectory's views, so
 each edge head is one op per trajectory and its weights get one gradient
-product; `fit` sums each trajectory's gradients into one accumulator in
-place.
+product; `_denoiser_phase` sums each trajectory's gradients into one
+accumulator in place.
+
+`fit` runs Algorithm 1 as a loop over phase functions that share one
+`TrainState`: the generator every draw consumes, the denoiser steps taken,
+the REINFORCE baseline and the checkpoints written, which is all a run
+carries from one step to the next. Each epoch draws a permutation of the
+training graphs and runs `_denoiser_phase` (one Adam step of the denoiser)
+per minibatch, then draws a permutation of the validation graphs and runs
+`_ordering_phase` (one REINFORCE step of the ordering network) per
+minibatch; `_checkpoint` saves the model every `eval_every` denoiser steps
+and at the end.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from .autodiff import NonFiniteError, Tape
 from .denoiser import DenoiserNet
 from .graphs import (DiffusionTrajectory, LabeledGraph, absorb_node, check_at_least,
                      denoising_view, forward_trajectory, is_finite_real, observed_step)
-from .model import ModelBundle
+from .model import LR_DENOISER, LR_ORDERING, ModelBundle
 from .optim import adam_step
 from .ordering import OrderingNet
 
@@ -53,8 +63,8 @@ class TrainConfig:
     val_batch_size: int = 8
     trajectories: int = 4            # M
     timesteps: int = 4               # T, clamped to n per graph
-    lr_denoiser: float = 1e-4
-    lr_ordering: float = 5e-4
+    lr_denoiser: float = LR_DENOISER
+    lr_ordering: float = LR_ORDERING
     soft_label_top_k: int = 1
     baseline: bool = True
     baseline_decay: float = 0.9
@@ -250,9 +260,89 @@ def _sample_timesteps(n: int, t_cfg: int, rng: np.random.Generator) -> list[int]
     return sorted(int(t) + 1 for t in rng.choice(n, size=k, replace=False))
 
 
-def _minibatches(indices, size):
-    for lo in range(0, len(indices), size):
-        yield indices[lo:lo + size]
+def _minibatches(graphs, order, size: int):
+    """The graphs taken in `order`, as consecutive lists of `size`."""
+    for lo in range(0, len(order), size):
+        yield [graphs[i] for i in order[lo:lo + size]]
+
+
+@dataclass
+class TrainState:
+    """What `fit` carries from one step to the next: the one generator every
+    draw consumes, the denoiser steps taken, the REINFORCE baseline (None
+    until the first ordering update sets it) and the checkpoints written."""
+    rng: np.random.Generator
+    steps: int = 0
+    baseline: float | None = None
+    checkpoints: list[str] = field(default_factory=list)
+
+
+def _draws(model: ModelBundle, config: TrainConfig, state: TrainState, batch):
+    """(graph, trajectory, timesteps) for M trajectories per graph of the
+    batch; the caller's work between draws consumes no rng."""
+    for graph in batch:
+        for _ in range(config.trajectories):
+            traj = (uniform_trajectory(graph, state.rng) if config.uniform_ordering
+                    else model.ordering.sample_ordering(graph, state.rng))
+            yield graph, traj, _sample_timesteps(graph.n, config.timesteps, state.rng)
+
+
+def _denoiser_phase(model: ModelBundle, config: TrainConfig, state: TrainState, batch) -> float:
+    """One Adam step of the denoiser on a minibatch, counted in `state.steps`;
+    the mean loss. The accumulated gradients die on return, before the
+    ordering phase."""
+    grads: dict[str, np.ndarray] = {}
+    losses = [_accumulate_gradients(
+        grads, model.denoiser.params,
+        lambda tape: denoiser_loss(graph, traj, ts, model.denoiser,
+                                   config.soft_label_top_k, tape))
+        for graph, traj, ts in _draws(model, config, state, batch)]
+    for g in grads.values():
+        g *= 1.0 / config.trajectories
+    adam_step(model.denoiser.params, grads, model.adam_denoiser)
+    state.steps += 1
+    # a left fold from 0.0 in draw order, not `sum`, which compensates on 3.12
+    return reduce(operator.add, losses, 0.0) / len(losses)
+
+
+def _ordering_phase(model: ModelBundle, config: TrainConfig, state: TrainState,
+                    batch) -> list[float]:
+    """One REINFORCE update of the ordering network on a validation
+    minibatch; the rewards, in draw order. The batch's views are evaluated
+    together by `fill_step_memos`, and each reward reads its memo."""
+    drawn = list(_draws(model, config, state, batch))
+    memos = {graph: {} for graph, _, _ in drawn}
+    fill_step_memos(model.denoiser, [(graph, tuple(loss_views(
+        traj, ts, config.soft_label_top_k)), memos[graph]) for graph, traj, ts in drawn])
+    rewards = [denoiser_loss(graph, traj, ts, model.denoiser, config.soft_label_top_k,
+                             memo=memos[graph]) for graph, traj, ts in drawn]
+    if config.baseline:
+        mean_r = float(np.mean(rewards))
+        state.baseline = (mean_r if state.baseline is None else
+                          config.baseline_decay * state.baseline
+                          + (1.0 - config.baseline_decay) * mean_r)
+    reinforce_update(model.ordering, model.adam_ordering,
+                     [(g, traj.ordering, r) for (g, traj, _), r in zip(drawn, rewards)],
+                     state.baseline if config.baseline else 0.0, config.trajectories)
+    return rewards
+
+
+def _checkpoint(model: ModelBundle, state: TrainState, checkpoint_dir) -> None:
+    """Save the model as `checkpoint_<steps>.ckpt` in `checkpoint_dir`, if
+    one is given, and list it in `state.checkpoints` once."""
+    if checkpoint_dir is None:
+        return
+    path = f"{checkpoint_dir}/checkpoint_{state.steps:06d}.ckpt"
+    model.save(path)
+    if path not in state.checkpoints:
+        state.checkpoints.append(path)
+
+
+def _write_record(log, step: int, loss, reward) -> None:
+    if log is not None:
+        log.write(json.dumps({"step": step, "loss": loss, "reward": reward,
+                              "timestamp": time.time()}, sort_keys=True) + "\n")
+        log.flush()
 
 
 def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
@@ -262,101 +352,33 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
         raise ValueError("empty training set")
     if not val_graphs and not config.uniform_ordering:
         raise ValueError("empty validation set")
-    rng = np.random.default_rng(config.seed)
+    state = TrainState(np.random.default_rng(config.seed))
     model.adam_denoiser.lr = config.lr_denoiser
     model.adam_ordering.lr = config.lr_ordering
     report = TrainReport()
     # records are written as they are made, so a diverged or killed run
     # keeps the log of every step it finished
     log = open(log_path, "w") if log_path is not None else None
-    checkpoints: list[str] = []
-    baseline_value: float | None = None
-    theta_steps = 0
-
-    def draws(graphs, batch):
-        """(graph, trajectory, timesteps) for M trajectories per graph of the
-        batch; the caller's work between draws consumes no rng."""
-        for gi in batch:
-            graph = graphs[gi]
-            for _ in range(config.trajectories):
-                traj = (uniform_trajectory(graph, rng) if config.uniform_ordering
-                        else model.ordering.sample_ordering(graph, rng))
-                yield graph, traj, _sample_timesteps(graph.n, config.timesteps, rng)
-
-    def log_record(loss, reward):
-        if log is not None:
-            log.write(json.dumps({"step": theta_steps, "loss": loss, "reward": reward,
-                                  "timestamp": time.time()}, sort_keys=True) + "\n")
-            log.flush()
-
-    def save_ckpt():
-        if checkpoint_dir is None:
-            return
-        path = f"{checkpoint_dir}/checkpoint_{theta_steps:06d}.ckpt"
-        model.save(path)
-        if path not in checkpoints:
-            checkpoints.append(path)
-
-    def denoiser_step(batch) -> float:
-        """One Adam step of the denoiser on a minibatch; the mean loss. The
-        accumulated gradients die on return, before the ordering phase."""
-        grads_acc: dict[str, np.ndarray] = {}
-        batch_loss = 0.0
-        terms = 0
-        for graph, traj, ts in draws(train_graphs, batch):
-            batch_loss += _accumulate_gradients(
-                grads_acc, model.denoiser.params,
-                lambda tape: denoiser_loss(graph, traj, ts, model.denoiser,
-                                           config.soft_label_top_k, tape))
-            terms += 1
-        for g in grads_acc.values():
-            g *= 1.0 / config.trajectories
-        adam_step(model.denoiser.params, grads_acc, model.adam_denoiser)
-        return batch_loss / terms
-
     try:
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(train_graphs))
+        for _ in range(config.epochs):
             epoch_losses = []
-            for batch in _minibatches(list(order), config.batch_size):
-                theta_steps += 1
-                phase = f"denoiser step {theta_steps}"
-                mean_loss = denoiser_step(batch)
-                epoch_losses.append(mean_loss)
-                report.step_losses.append(mean_loss)
-                log_record(mean_loss, None)
-                if config.eval_every and theta_steps % config.eval_every == 0:
-                    save_ckpt()
-
+            for batch in _minibatches(train_graphs, state.rng.permutation(len(train_graphs)),
+                                      config.batch_size):
+                phase = f"denoiser step {state.steps + 1}"
+                epoch_losses.append(_denoiser_phase(model, config, state, batch))
+                _write_record(log, state.steps, epoch_losses[-1], None)
+                if config.eval_every and state.steps % config.eval_every == 0:
+                    _checkpoint(model, state, checkpoint_dir)
+            report.step_losses.extend(epoch_losses)
             epoch_rewards = []
             if not config.uniform_ordering:
-                val_order = rng.permutation(len(val_graphs))
-                for k, batch in enumerate(_minibatches(list(val_order),
+                val_order = state.rng.permutation(len(val_graphs))
+                for k, batch in enumerate(_minibatches(val_graphs, val_order,
                                                        config.val_batch_size), 1):
-                    phase = f"ordering update {k} after denoiser step {theta_steps}"
-                    drawn = list(draws(val_graphs, batch))
-                    memos = {graph: {} for graph, _, _ in drawn}
-                    fill_step_memos(model.denoiser, [(graph, tuple(loss_views(
-                        traj, ts, config.soft_label_top_k)), memos[graph])
-                        for graph, traj, ts in drawn])
-                    rewards = [denoiser_loss(graph, traj, ts, model.denoiser,
-                                             config.soft_label_top_k, memo=memos[graph])
-                               for graph, traj, ts in drawn]
-                    items = [(g, traj.ordering, r) for (g, traj, _), r in zip(drawn, rewards)]
-                    mean_r = float(np.mean(rewards))
-                    if config.baseline:
-                        if baseline_value is None:
-                            baseline_value = mean_r
-                        else:
-                            baseline_value = (config.baseline_decay * baseline_value
-                                              + (1.0 - config.baseline_decay) * mean_r)
-                        b = baseline_value
-                    else:
-                        b = 0.0
-                    reinforce_update(model.ordering, model.adam_ordering, items,
-                                     b, config.trajectories)
+                    phase = f"ordering update {k} after denoiser step {state.steps}"
+                    rewards = _ordering_phase(model, config, state, batch)
                     epoch_rewards.extend(rewards)
-                    log_record(None, mean_r)
+                    _write_record(log, state.steps, None, float(np.mean(rewards)))
             report.epoch_losses.append(float(np.mean(epoch_losses)))
             report.epoch_rewards.append(float(np.mean(epoch_rewards))
                                         if epoch_rewards else None)
@@ -367,14 +389,14 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
         if log is not None:
             log.close()
 
-    save_ckpt()
-    if checkpoints:
+    _checkpoint(model, state, checkpoint_dir)
+    if state.checkpoints:
         if config.select_samples > 0 and val_graphs:
             report.selected_checkpoint = select_model(
-                checkpoints, val_graphs,
+                state.checkpoints, val_graphs,
                 MetricConfig(samples=config.select_samples, seed=config.seed))
         else:
-            report.selected_checkpoint = checkpoints[-1]
+            report.selected_checkpoint = state.checkpoints[-1]
     return model, report
 
 

@@ -395,6 +395,18 @@ report = {tmp_path}/report.json
                     "--seed", 0, "--out", out]) == 0
         assert len(load_corpus(out)) == 2
 
+    def test_output_in_a_missing_directory_fails_before_any_work(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 6, "--seed", 3,
+             "--out", corpus])
+        config = _write_config(tmp_path, corpus)
+        config.write_text(config.read_text() + "report = missing_dir/report.json\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(["train", "--config", config]) == 1
+        assert "'report'" in _one_error_line(capsys)
+        assert not (tmp_path / "ckpts").exists()
+
     def test_bad_config_reports_error(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[run]\nseed = 1\n\n[model]\nnode_types = 1\n"

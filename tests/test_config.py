@@ -69,6 +69,22 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.load(write_config(tmp_path, body))
 
+    @pytest.mark.parametrize("key", ["log", "report"])
+    def test_output_path_in_a_missing_directory_rejected(self, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        body = MINIMAL + f"\n[paths]\n{key} = missing_dir/out.json\n"
+        with pytest.raises(ConfigError, match=f"'{key}'.*missing_dir"):
+            RunConfig.load(write_config(tmp_path, body))
+
+    def test_output_paths_resolve_against_the_working_directory(self, tmp_path,
+                                                                monkeypatch):
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path)
+        body = MINIMAL + "\n[paths]\nlog = train.jsonl\nreport = out/report.json\n"
+        cfg = RunConfig.load(write_config(tmp_path, body))
+        assert cfg.paths["log"] == "train.jsonl"
+        assert cfg.paths["report"] == "out/report.json"
+
     def test_val_fraction_switch(self, tmp_path):
         body = MINIMAL + "\n[train]\nval_fraction = 0.25\n"
         cfg = RunConfig.load(write_config(tmp_path, body))

@@ -1,0 +1,42 @@
+import importlib.util
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "code_lines", Path(__file__).resolve().parents[1] / "tools" / "code_lines.py")
+code_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(code_lines)
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+
+# a comment-only line
+def f(a,
+      b):
+    """Function docstring."""
+    x = """a string that is
+    no docstring"""
+    return (a
+            + b)
+
+
+class C:
+    """Class docstring."""
+    y = 1
+'''
+
+
+def test_counts_code_lines_without_docstrings_comments_or_blanks():
+    # import; def f over 2 lines; x over 2 lines; return over 2; class; y
+    assert code_lines.count_code_lines(SOURCE) == 9
+
+
+def test_main_prints_the_total_over_a_tree(tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(SOURCE)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n")
+    (tmp_path / "pkg" / "notes.txt").write_text("not python\n")
+    assert code_lines.main([str(tmp_path / "pkg")]) == 0
+    assert capsys.readouterr().out == "10\n"

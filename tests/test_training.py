@@ -525,6 +525,57 @@ class TestOneUntapedEvaluator:
         assert got == want
 
 
+class TestPhaseFunctions:
+    """`fit` is a loop over the phase functions and one `TrainState`: an
+    epoch driven by hand equals a 1-epoch `fit`, bit for bit."""
+
+    @pytest.mark.parametrize("aggregator", ["gat", "gru-gate"])
+    def test_one_epoch_by_hand_equals_fit(self, tmp_path, monkeypatch, aggregator):
+        val = _typed_val_graphs()
+        train = val[::-1] + val[:1]
+        cfg = TrainConfig(epochs=1, batch_size=2, val_batch_size=2, trajectories=2,
+                          timesteps=3, soft_label_top_k=2, seed=8)
+        model = _typed_model(aggregator)
+        state = training.TrainState(np.random.default_rng(cfg.seed))
+        losses = [training._denoiser_phase(model, cfg, state, batch)
+                  for batch in training._minibatches(
+                      train, state.rng.permutation(len(train)), cfg.batch_size)]
+        rewards = [training._ordering_phase(model, cfg, state, batch)
+                   for batch in training._minibatches(
+                       val, state.rng.permutation(len(val)), cfg.val_batch_size)]
+        (tmp_path / "hand").mkdir()
+        training._checkpoint(model, state, str(tmp_path / "hand"))
+
+        fit_rewards, fit_states = [], []
+        ordering_phase, checkpoint = training._ordering_phase, training._checkpoint
+
+        def recorded_ordering_phase(*args):
+            fit_rewards.append(ordering_phase(*args))
+            return fit_rewards[-1]
+
+        def recorded_checkpoint(model, state, checkpoint_dir):
+            fit_states.append(state)
+            return checkpoint(model, state, checkpoint_dir)
+
+        monkeypatch.setattr(training, "_ordering_phase", recorded_ordering_phase)
+        monkeypatch.setattr(training, "_checkpoint", recorded_checkpoint)
+        (tmp_path / "fit").mkdir()
+        _, report = fit(train, val, _typed_model(aggregator), cfg,
+                        checkpoint_dir=str(tmp_path / "fit"))
+        assert len(losses) == 2 and len(rewards) == 2 and state.steps == 2
+        assert report.step_losses == losses
+        assert fit_rewards == rewards
+        (fitted,) = fit_states
+        assert fitted.steps == state.steps
+        assert state.baseline is not None and fitted.baseline == state.baseline
+        assert fitted.rng.bit_generator.state == state.rng.bit_generator.state
+        names = [[os.path.relpath(p, tmp_path / run) for p in s.checkpoints]
+                 for run, s in (("hand", state), ("fit", fitted))]
+        assert names[0] == names[1] == ["checkpoint_000002.ckpt"]
+        assert ((tmp_path / "hand" / names[0][0]).read_bytes()
+                == (tmp_path / "fit" / names[0][0]).read_bytes())
+
+
 def _taped_step_terms(graph, traj, top_k):
     """A trajectory's loss views over every timestep (so its 1-node and
     2-node views too) and their labels."""
@@ -707,3 +758,9 @@ class TestNonFiniteReinforce:
 def test_train_config_requires_finite_learning_rates(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
         TrainConfig(epochs=1, **{field: value})
+
+
+def test_model_init_has_the_train_config_learning_rates():
+    model, cfg = tiny_model(), TrainConfig(epochs=0)
+    assert model.adam_denoiser.lr == cfg.lr_denoiser
+    assert model.adam_ordering.lr == cfg.lr_ordering
