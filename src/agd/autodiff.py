@@ -54,9 +54,9 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _check_finite(data: np.ndarray) -> np.ndarray:
+def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(data).all():
-        raise NonFiniteError("operation produced a non-finite value")
+        raise NonFiniteError(f"{op} produced a non-finite value")
     return data
 
 
@@ -225,13 +225,14 @@ def _common_tape(*tensors) -> Tape | None:
     return tape
 
 
-def _result(data, inputs: list[Tensor], vjps: list) -> Tensor:
-    """Create an op result; record it when any input is tracked.
+def _result(op: str, data, inputs: list[Tensor], vjps: list) -> Tensor:
+    """Create the result of the op named `op`; record it when any input is
+    tracked.
 
     `vjps[i]` maps the output gradient to input i's gradient; entries for
     untracked inputs are skipped.
     """
-    data = _check_finite(np.asarray(data, dtype=np.float64))
+    data = _check_finite(np.asarray(data, dtype=np.float64), op)
     tape = _common_tape(*inputs)
     if tape is None:
         return Tensor(data)
@@ -254,7 +255,7 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
     sa, sb = a.data.shape, b.data.shape
-    return _result(out, [a, b], [
+    return _result("add", out, [a, b], [
         lambda g: _unbroadcast(g, sa),
         lambda g: _unbroadcast(g, sb),
     ])
@@ -264,7 +265,7 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
     sa, sb = a.data.shape, b.data.shape
-    return _result(out, [a, b], [
+    return _result("sub", out, [a, b], [
         lambda g: _unbroadcast(g, sa),
         lambda g: _unbroadcast(-g, sb),
     ])
@@ -272,14 +273,14 @@ def sub(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _result(-a.data, [a], [lambda g: -g])
+    return _result("neg", -a.data, [a], [lambda g: -g])
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     out = ad * bd
-    return _result(out, [a, b], [
+    return _result("mul", out, [a, b], [
         lambda g: _unbroadcast(g * bd, ad.shape),
         lambda g: _unbroadcast(g * ad, bd.shape),
     ])
@@ -319,7 +320,7 @@ def matmul(a, b) -> Tensor:
             return ad.T @ g
         return g * ad
 
-    return _result(out, [a, b], [grad_a, grad_b])
+    return _result("matmul", out, [a, b], [grad_a, grad_b])
 
 
 def matmul_blocks(parts, w) -> Tensor:
@@ -347,7 +348,8 @@ def matmul_blocks(parts, w) -> Tensor:
     def grad_w(g):
         return np.concatenate(datas, axis=1)[0].T @ g[0]
 
-    return _result(out, parts + [w], [make_vjp(i) for i in range(len(parts))] + [grad_w])
+    return _result("matmul_blocks", out, parts + [w],
+                   [make_vjp(i) for i in range(len(parts))] + [grad_w])
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -368,7 +370,7 @@ def concat(parts, axis: int = 0) -> Tensor:
 
         return vjp
 
-    return _result(out, parts, [make_vjp(i) for i in range(len(parts))])
+    return _result("concat", out, parts, [make_vjp(i) for i in range(len(parts))])
 
 
 def stack(parts, axis: int = 0) -> Tensor:
@@ -381,13 +383,13 @@ def stack(parts, axis: int = 0) -> Tensor:
     def make_vjp(i):
         return lambda g: np.take(g, i, axis=axis)
 
-    return _result(out, parts, [make_vjp(i) for i in range(len(parts))])
+    return _result("stack", out, parts, [make_vjp(i) for i in range(len(parts))])
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     old = a.data.shape
-    return _result(a.data.reshape(shape), [a], [lambda g: g.reshape(old)])
+    return _result("reshape", a.data.reshape(shape), [a], [lambda g: g.reshape(old)])
 
 
 def tile_row(v, k: int) -> Tensor:
@@ -396,7 +398,7 @@ def tile_row(v, k: int) -> Tensor:
     if v.data.ndim < 1:
         raise ShapeError("tile_row expects a tensor of at least one axis")
     out = np.repeat(np.expand_dims(v.data, -2), k, axis=-2)
-    return _result(out, [v], [lambda g: g.sum(axis=-2)])
+    return _result("tile_row", out, [v], [lambda g: g.sum(axis=-2)])
 
 
 def rows(a, ids) -> Tensor:
@@ -416,7 +418,7 @@ def rows(a, ids) -> Tensor:
         np.add.at(acc, ids, g)
         return acc.reshape(shape)
 
-    return _result(out, [a], [vjp])
+    return _result("rows", out, [a], [vjp])
 
 
 def take(a, ids) -> Tensor:
@@ -433,7 +435,7 @@ def take(a, ids) -> Tensor:
         np.add.at(acc, ids, g)
         return acc
 
-    return _result(out, [a], [vjp])
+    return _result("take", out, [a], [vjp])
 
 
 def pick(a, i: int) -> Tensor:
@@ -448,39 +450,39 @@ def pick(a, i: int) -> Tensor:
         acc[i] = g
         return acc
 
-    return _result(data[i], [a], [vjp])
+    return _result("pick", data[i], [a], [vjp])
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
-    return _result(np.where(mask, a.data, 0.0), [a], [lambda g: g * mask])
+    return _result("relu", np.where(mask, a.data, 0.0), [a], [lambda g: g * mask])
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
     scale = np.where(mask, 1.0, slope)
-    return _result(a.data * scale, [a], [lambda g: g * scale])
+    return _result("leaky_relu", a.data * scale, [a], [lambda g: g * scale])
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out = 1.0 / (1.0 + np.exp(-a.data))
-    return _result(out, [a], [lambda g: g * out * (1.0 - out)])
+    return _result("sigmoid", out, [a], [lambda g: g * out * (1.0 - out)])
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
-    return _result(out, [a], [lambda g: g * (1.0 - out * out)])
+    return _result("tanh", out, [a], [lambda g: g * (1.0 - out * out)])
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(over="ignore"):
         out = np.exp(a.data)  # inf is caught by the finiteness check
-    return _result(out, [a], [lambda g: g * out])
+    return _result("exp", out, [a], [lambda g: g * out])
 
 
 def log(a) -> Tensor:
@@ -491,7 +493,7 @@ def log(a) -> Tensor:
             out = np.log(data)
         except FloatingPointError:
             raise NonFiniteError("log of a non-positive value") from None
-    return _result(out, [a], [lambda g: g / data])
+    return _result("log", out, [a], [lambda g: g / data])
 
 
 def tsum(a, axis=None) -> Tensor:
@@ -504,7 +506,7 @@ def tsum(a, axis=None) -> Tensor:
             return np.broadcast_to(g, shape).copy()
         return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
 
-    return _result(out, [a], [vjp])
+    return _result("tsum", out, [a], [vjp])
 
 
 def tmean(a, axis=None) -> Tensor:
@@ -541,7 +543,7 @@ def masked_softmax(a, mask, axis: int = -1) -> Tensor:
         inner = (g * out).sum(axis=axis, keepdims=True)
         return out * (g - inner)
 
-    return _result(out, [a], [vjp])
+    return _result("masked_softmax", out, [a], [vjp])
 
 
 def einsum(spec: str, a, b) -> Tensor:
@@ -570,7 +572,7 @@ def einsum(spec: str, a, b) -> Tensor:
         raise ShapeError(f"einsum {spec!r} outputs an index no operand has")
     ad, bd = a.data, b.data
     out = np.einsum(f"{ia},{ib}->{out_idx}", ad, bd)
-    return _result(out, [a, b], [
+    return _result("einsum", out, [a, b], [
         lambda g: np.einsum(f"{out_idx},{ib}->{ia}", g, bd),
         lambda g: np.einsum(f"{out_idx},{ia}->{ib}", g, ad),
     ])

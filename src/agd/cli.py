@@ -25,9 +25,10 @@ from .model import ModelBundle
 from .training import TrainingDiverged, fit
 
 
-# `agd nll --exact-max` ceiling: exact enumeration holds the loss views of
-# all n! orderings, 445 MB and 24 s at n = 8 at the default widths (one BLAS
-# thread, 2-core x86 host), and n = 9 holds nine times as many.
+# `agd nll --exact-max` ceiling, set by time: exact enumeration scores all n!
+# orderings, 5.5 s and 66 MB peak RSS for one 8-node community graph at the
+# default widths (one BLAS thread, 2-core x86 host), and n = 9 has nine times
+# as many orderings.
 EXACT_MAX_NODES = 8
 
 

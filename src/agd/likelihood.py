@@ -8,20 +8,22 @@ with `OrderingNet.sample_orderings`, which scores each prefix once however
 many draws reach it (an NLL consumes no rng, so the stream is that of
 successive `sample_ordering` calls); `exact_marginal` enumerates the n!
 permutations. `_ordering_nlls` then returns each distinct ordering's NLL.
-It builds the ordering's loss views once (`training.loss_views`, the views
-`denoiser_loss` reads), has `training.fill_step_memos` compute every
-distinct view into one step memo for the graph, with one stacked
-`step_log_likelihood` call per view size, and sums each ordering's NLL from
-the memo's floats with `trajectory_nll`. At n=4 exact enumeration reaches
-96 views of which 32 are distinct, computed in 4 calls.
+It has `training.fill_step_memos` compute every distinct step the orderings
+reach into one step memo for the graph, with one stacked
+`step_log_likelihood` call per view size, and reads each ordering's NLL
+from the memo's floats with `trajectory_nll`. At n=4 exact enumeration
+reaches 96 steps of which 32 are distinct, computed in 4 calls; each of the
+32 views is built once.
 
-The memo is keyed by the `DenoisingView`. A view is fixed by the unmasked
-node set and the target, and within one graph those also fix the step's
-observed node type and edges, so the memo is valid for one graph and one
-denoiser, and only untaped: `denoiser_loss` refuses a memo together with a
-tape. The trajectory NLL adds its per-step terms as floats in timestep
-order, from the first term, so an NLL read through the shared memo equals
-the one computed for the ordering alone bit for bit.
+`trajectory_nll` is `training.denoiser_loss` at every timestep, without
+soft labels, where the n/T scale is 1 and so exact negation. The memo is
+keyed by a term's `(state.masked, candidate)`: the unmasked node set and
+the target fix the view, and within one graph also the step's observed
+node type and edges, so the memo is valid for one graph and one denoiser,
+and only untaped: `denoiser_loss` refuses a memo together with a tape. The
+loss adds its per-step terms as floats in timestep order, from the first
+term, so an NLL read through the shared memo equals the one computed for
+the ordering alone bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .denoiser import StepSampler
 from .graphs import (DiffusionTrajectory, GraphError, LabeledGraph,
                      denoising_view, forward_trajectory)
 from .model import ModelBundle
-from .training import fill_step_memos, loss_views, weighted_log_likelihood
+from .training import denoiser_loss, fill_step_memos, loss_terms
 
 
 @dataclass
@@ -54,29 +56,24 @@ class NllEstimate:
 
 
 def trajectory_nll(model: ModelBundle, graph: LabeledGraph, ordering,
-                   memo: dict | None = None, *, _views=None) -> float:
+                   memo: dict | None = None) -> float:
     """-sum_t log p(step t) along the full trajectory for one ordering: the
-    denoiser loss at every timestep, without soft labels. `memo` is a step
-    memo for this graph and model (see the module docstring). `_views` are
-    the ordering's `loss_views`, when the caller built them."""
-    if _views is None:
-        _views = loss_views(forward_trajectory(graph, ordering), range(1, graph.n + 1))
-    # the denoiser loss at all n timesteps, whose n/T scale is 1
-    return -weighted_log_likelihood(graph, _views, model.denoiser, memo=memo)
+    denoiser loss at every timestep, without soft labels, whose n/T scale is
+    1. `memo` is a step memo for this graph and model (see the module
+    docstring)."""
+    return denoiser_loss(graph, forward_trajectory(graph, ordering), range(1, graph.n + 1),
+                         model.denoiser, memo=memo)
 
 
 def _ordering_nlls(model: ModelBundle, graph: LabeledGraph, orderings) -> dict:
-    """Each distinct ordering's trajectory NLL, summed through one step memo
+    """Each distinct ordering's trajectory NLL, read through one step memo
     of every view the orderings reach (see the module docstring)."""
-    timesteps = range(1, graph.n + 1)
-    built: dict[tuple, tuple] = {}        # ordering -> its loss views
-    for ordering in orderings:
-        if ordering not in built:
-            built[ordering] = tuple(loss_views(forward_trajectory(graph, ordering), timesteps))
+    distinct = tuple(dict.fromkeys(orderings))
     memo: dict = {}
-    fill_step_memos(model.denoiser, [(graph, views, memo) for views in built.values()])
-    return {ordering: trajectory_nll(model, graph, ordering, memo, _views=views)
-            for ordering, views in built.items()}
+    # generators, so no trajectory outlives its terms
+    terms = (loss_terms(forward_trajectory(graph, o), range(1, graph.n + 1)) for o in distinct)
+    fill_step_memos(model.denoiser, ((graph, each, memo) for each in terms))
+    return {ordering: trajectory_nll(model, graph, ordering, memo) for ordering in distinct}
 
 
 def expected_nll(model: ModelBundle, graph: LabeledGraph, num_orderings: int,

@@ -10,9 +10,13 @@ gradients). The reward for a trajectory is the same quantity evaluated
 without gradients; lower is better, so the ordering network descends
 (R - baseline) * grad log q.
 
-Every untaped step log-likelihood, the rewards here and the NLLs of
-`agd.likelihood` alike, is computed by `fill_step_memos` into a step memo: a
-dict from `DenoisingView` to a float, kept per graph. It makes one stacked
+`denoiser_loss` is the one function that scores this loss: for taped
+training, for the rewards here and, as `likelihood.trajectory_nll`, for
+every NLL. Every untaped step log-likelihood is computed by
+`fill_step_memos` into a step memo: a dict from a term's
+`(state.masked, candidate)` to a float, kept per graph. Within one graph
+the unmasked set and the target fix a view and its labels, so a view is
+built only when its memo lacks the key. The fill makes one stacked
 `step_log_likelihood` call per view size, whose slices carry the bits of
 single views, and an untaped loss sums the memo's floats in the loss's term
 order, so it equals a view-at-a-time sum bit for bit. A taped loss makes one
@@ -115,26 +119,33 @@ def _retained_candidates(weights: dict[int, float], sampled: int, top_k: int):
     return [(v, weights[v] / total) for v in kept]
 
 
-def loss_views(trajectory: DiffusionTrajectory, timesteps, top_k: int = 1):
-    """Yield (view, state, candidate, weight) for every term of the denoiser
-    loss over the sorted `timesteps`, in the order the loss sums them: the
-    candidate is denoised out of `state` through `view`."""
+def loss_terms(trajectory: DiffusionTrajectory, timesteps, top_k: int = 1):
+    """Yield (state, candidate, weight) for every term of the denoiser loss
+    over the sorted `timesteps`, in the order the loss sums them: the
+    candidate is denoised out of `state`."""
     for t in timesteps:
         sampled = trajectory.ordering[t - 1]
         for cand, w in _retained_candidates(trajectory.step_weights[t - 1],
                                             sampled, top_k):
-            if cand == sampled:
-                state = trajectory.states[t]
-            else:
-                state = absorb_node(trajectory.states[t - 1], cand)
-            yield denoising_view(state, cand), state, cand, w
+            state = (trajectory.states[t] if cand == sampled
+                     else absorb_node(trajectory.states[t - 1], cand))
+            yield state, cand, w
+
+
+def loss_views(trajectory: DiffusionTrajectory, timesteps, top_k: int = 1):
+    """Yield (view, state, candidate, weight) for every `loss_terms` term:
+    the candidate is denoised out of `state` through `view`."""
+    for state, cand, w in loss_terms(trajectory, timesteps, top_k):
+        yield denoising_view(state, cand), state, cand, w
 
 
 def denoiser_loss(graph: LabeledGraph, trajectory: DiffusionTrajectory,
                   timesteps, denoiser: DenoiserNet, top_k: int = 1, tape=None,
                   memo: dict | None = None):
     """Negative soft-label log-likelihood over the sampled timesteps, scaled
-    by n/T. Returns a Tensor when a tape is given, else a float.
+    by n/T: -(n/T) sum w * log p(candidate), added in term order from the
+    first term. Returns a Tensor from one `DenoiserNet.taped_log_likelihoods`
+    call when a tape is given, else a float read through a step memo.
 
     `memo` is a step memo for this graph and denoiser (see the module
     docstring), read and filled here. It holds untaped values, so it cannot
@@ -147,48 +158,41 @@ def denoiser_loss(graph: LabeledGraph, trajectory: DiffusionTrajectory,
     n = trajectory.n
     if any(t < 1 or t > n for t in timesteps):
         raise ValueError("timesteps must lie in 1..n")
-    total = weighted_log_likelihood(graph, loss_views(trajectory, timesteps, top_k),
-                                    denoiser, tape, memo)
+    if tape is None:
+        terms = tuple(loss_terms(trajectory, timesteps, top_k))
+        memo = {} if memo is None else memo
+        fill_step_memos(denoiser, [(graph, terms, memo)])
+        lls = [memo[state.masked, cand] for state, cand, _ in terms]
+    else:
+        terms = tuple(loss_views(trajectory, timesteps, top_k))
+        node_types, edges = zip(*(observed_step(graph, state, cand)
+                                  for _, state, cand, _ in terms))
+        lls = denoiser.taped_log_likelihoods([view for view, *_ in terms],
+                                             node_types, edges, tape)
+    total = reduce(operator.add, (ll * w for ll, (*_, w) in zip(lls, terms)))
     return total * (-float(n) / len(timesteps))
 
 
 def fill_step_memos(denoiser: DenoiserNet, items) -> None:
-    """Store, untaped, the step log-likelihood of every view an item's memo
-    lacks, as a float. `items` are (graph, `loss_views` items, memo) triples
-    with one memo per graph; the views of all items are computed with one
-    stacked `step_log_likelihood` call per view size, a stack mixing graphs
-    since each view carries its own labels."""
-    by_size: dict[int, dict] = {}      # size -> (memo id, view) -> (memo, view, labels...)
-    for graph, views, memo in items:
-        for view, state, target, _ in views:
-            pending = by_size.setdefault(view.size, {})
-            if view not in memo and (id(memo), view) not in pending:
-                pending[id(memo), view] = (memo, view, *observed_step(graph, state, target))
+    """Store, untaped, the step log-likelihood of every term an item's memo
+    lacks, as a float under the term's (state.masked, candidate). `items`
+    are (graph, `loss_terms` items, memo) triples with one memo per graph; a
+    view and its labels are built only for a missing key, and the views of
+    all items are computed with one stacked `step_log_likelihood` call per
+    view size, a stack mixing graphs since each view carries its own labels."""
+    by_size: dict[int, dict] = {}      # size -> (memo id, key) -> (memo, key, view, labels...)
+    for graph, terms, memo in items:
+        for state, target, _ in terms:
+            key = state.masked, target
+            pending = by_size.setdefault(state.masked.count(False) + 1, {})
+            if key not in memo and (id(memo), key) not in pending:
+                pending[id(memo), key] = (memo, key, denoising_view(state, target),
+                                          *observed_step(graph, state, target))
     for pending in filter(None, by_size.values()):
-        memos, views, node_types, edges = zip(*pending.values())
+        memos, keys, views, node_types, edges = zip(*pending.values())
         lls = denoiser.step_log_likelihood(views, node_types, edges)
-        for memo, view, ll in zip(memos, views, lls):
-            memo[view] = ll.item()
-
-
-def weighted_log_likelihood(graph: LabeledGraph, views, denoiser: DenoiserNet,
-                            tape=None, memo: dict | None = None):
-    """sum w * log p(candidate) over `loss_views` items, added in their order
-    from the first term. Taped, a Tensor from one
-    `DenoiserNet.taped_log_likelihoods` call over all the views; untaped, a
-    float read through `memo` (or a memo of its own) once `fill_step_memos`
-    has filled it."""
-    views = tuple(views)
-    if tape is None:
-        memo = {} if memo is None else memo
-        fill_step_memos(denoiser, [(graph, views, memo)])
-        lls = [memo[view] for view, *_ in views]
-    else:
-        node_types, edges = zip(*(observed_step(graph, state, cand)
-                                  for _, state, cand, _ in views))
-        lls = denoiser.taped_log_likelihoods([view for view, *_ in views],
-                                             node_types, edges, tape)
-    return reduce(operator.add, (ll * w for ll, (*_, w) in zip(lls, views)))
+        for memo, key, ll in zip(memos, keys, lls):
+            memo[key] = ll.item()
 
 
 def compute_reward(graph: LabeledGraph, trajectory: DiffusionTrajectory,
@@ -312,8 +316,8 @@ def _ordering_phase(model: ModelBundle, config: TrainConfig, state: TrainState,
     together by `fill_step_memos`, and each reward reads its memo."""
     drawn = list(_draws(model, config, state, batch))
     memos = {graph: {} for graph, _, _ in drawn}
-    fill_step_memos(model.denoiser, [(graph, tuple(loss_views(
-        traj, ts, config.soft_label_top_k)), memos[graph]) for graph, traj, ts in drawn])
+    fill_step_memos(model.denoiser, [(graph, loss_terms(traj, ts, config.soft_label_top_k),
+                                      memos[graph]) for graph, traj, ts in drawn])
     rewards = [denoiser_loss(graph, traj, ts, model.denoiser, config.soft_label_top_k,
                              memo=memos[graph]) for graph, traj, ts in drawn]
     if config.baseline:

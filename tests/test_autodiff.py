@@ -55,6 +55,11 @@ def test_nonfinite_is_an_error():
         ad.exp(Tensor([1e6]))
 
 
+def test_nonfinite_error_names_the_op():
+    with pytest.raises(NonFiniteError, match="^exp produced a non-finite value$"):
+        ad.exp(Tensor([800.0]))
+
+
 def test_backward_sum_gives_ones():
     w = Parameter("w", np.array([1.0, -2.0, 3.0]))
     tape = Tape()

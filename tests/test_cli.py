@@ -425,6 +425,16 @@ report = {tmp_path}/report.json
         line = _one_error_line(capsys)
         assert "denoiser step 2" in line, line
 
+    def test_diverged_run_names_the_op(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 6, "--seed", 3,
+             "--out", corpus])
+        config = _write_config(tmp_path, corpus, train={"batch_size": 1})
+        poison_denoiser_step(monkeypatch, 1)
+        assert run(["train", "--config", config]) == 1
+        line = _one_error_line(capsys)
+        assert "denoiser step 1: mul produced a non-finite value" in line, line
+
 
 class TestBadOrderingConfig:
     @pytest.mark.parametrize("key, value", [

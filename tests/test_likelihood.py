@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import agd.likelihood as likelihood
+import agd.training as training
 from agd.autodiff import Tape
 from agd.denoiser import STACK_PAIR_BUDGET, DenoiserConfig, DenoiserNet
 from agd.graphs import DenoisingView, denoising_view, forward_trajectory, new_graph
@@ -358,6 +359,43 @@ class TestStepMemo:
         with pytest.raises(ValueError, match="memo"):
             denoiser_loss(g, forward_trajectory(g, [0, 1]), [1, 2], model.denoiser,
                           tape=tape, memo={})
+
+
+def count_view_builds(monkeypatch):
+    """Record each view built through `agd.training.denoising_view`, where
+    the loss and the step memos build theirs."""
+    built = []
+    original = training.denoising_view
+
+    def counted(state, target):
+        built.append(original(state, target))
+        return built[-1]
+
+    monkeypatch.setattr(training, "denoising_view", counted)
+    return built
+
+
+class TestEachViewBuiltOnce:
+    """The step memo is keyed by what fixes a view, so the estimators build a
+    view only when their memo lacks it."""
+
+    def test_exact_marginal_builds_each_distinct_view_once(self, monkeypatch):
+        n = 6
+        model = tiny_model(num_node_types=2, num_edge_types=3, seed=73)
+        g = typed_graph(n, seed=23)
+        built = count_view_builds(monkeypatch)
+        exact_marginal(model, g)
+        assert len(built) == len(set(built)) == n * 2 ** (n - 1) == 192
+
+    def test_expected_nll_builds_each_distinct_view_once(self, monkeypatch):
+        model = tiny_model(num_node_types=2, num_edge_types=3, seed=75)
+        g = typed_graph(5, seed=13)
+        plain = expected_nll(model, g, 8, np.random.default_rng(6))
+        built = count_view_builds(monkeypatch)
+        calls = count_step_log_likelihoods(monkeypatch)
+        assert expected_nll(model, g, 8, np.random.default_rng(6)) == plain
+        assert built and len(built) == len(set(built))
+        assert set(built) == set(calls)
 
 
 class TestOrderingKlDiagnosticSampler:

@@ -386,6 +386,14 @@ class TestDivergence:
         assert records[0]["step"] == 1 and records[0]["reward"] is None
         assert math.isfinite(records[0]["loss"])
 
+    def test_diverged_run_names_the_op(self, monkeypatch):
+        g = triangle()
+        poison_denoiser_step(monkeypatch, 1)
+        cfg = TrainConfig(epochs=1, batch_size=1, trajectories=1, timesteps=2, seed=2)
+        with pytest.raises(TrainingDiverged,
+                           match="denoiser step 1: mul produced a non-finite value$"):
+            fit([g], [g], tiny_model(seed=37), cfg)
+
     def test_log_is_written_as_records_are_made(self, tmp_path, monkeypatch):
         g = triangle()
         log = tmp_path / "train.jsonl"
@@ -523,6 +531,37 @@ class TestOneUntapedEvaluator:
         # every reward of the reference came from its own compute_reward call
         assert len(redirected) == cfg.epochs * len(graphs) * cfg.trajectories
         assert got == want
+
+
+class TestEachViewBuiltOnce:
+    """The ordering phase builds each of its terms' views once per batch: the
+    step memo fill builds them, and the rewards read the memo."""
+
+    @pytest.mark.parametrize("top_k", [1, 3])
+    def test_ordering_phase_builds_each_view_once(self, monkeypatch, top_k):
+        batches, built = [], []
+        denoising_view = training.denoising_view
+        ordering_phase = training._ordering_phase
+
+        def counted(state, target):
+            built.append((state.base, state.masked, target))
+            return denoising_view(state, target)
+
+        def recorded(*args, **kwargs):
+            built.clear()
+            rewards = ordering_phase(*args, **kwargs)
+            batches.append(built[:])
+            return rewards
+
+        monkeypatch.setattr(training, "denoising_view", counted)
+        monkeypatch.setattr(training, "_ordering_phase", recorded)
+        graphs = _typed_val_graphs()
+        cfg = TrainConfig(epochs=1, batch_size=2, val_batch_size=2, trajectories=3,
+                          timesteps=3, soft_label_top_k=top_k, seed=5)
+        fit(graphs, graphs, _typed_model(), cfg)
+        assert len(batches) == 2
+        for builds in batches:
+            assert builds and len(builds) == len(set(builds))
 
 
 class TestPhaseFunctions:
