@@ -5,6 +5,11 @@ GRU updates and categorical heads, at graph sizes where clarity beats speed.
 Reductions over an axis sum their inputs in sorted order, so any computation
 whose inputs are a permutation of another's produces bit-identical values.
 
+One computation is one tape op. `rows`, `take` and `pick` are one gather
+whose backward is one scatter-add, and `logsumexp` is one op whose value and
+gradient repeat the arithmetic of its composed chain (`sub`, `exp`, `tsum`,
+`log`, `add`) in the same order.
+
 Memory rule: a backward closure holds arrays, shapes and indices, never a
 `Tensor`, and the tape keeps node ids, not tensors. A tracked tensor points
 to its tape, so one captured tensor would make the tape a reference cycle
@@ -401,6 +406,19 @@ def tile_row(v, k: int) -> Tensor:
     return _result("tile_row", out, [v], [lambda g: g.sum(axis=-2)])
 
 
+def _gather(op: str, a: Tensor, table: np.ndarray, ids) -> Tensor:
+    """`table[ids]`, where `table` is `a`'s data or a reshape of it. The
+    backward is one scatter-add of the gradient into a zero table."""
+    shape = a.data.shape
+
+    def vjp(g):
+        acc = np.zeros_like(table)
+        np.add.at(acc, ids, g)
+        return acc.reshape(shape)
+
+    return _result(op, table[ids], [a], [vjp])
+
+
 def rows(a, ids) -> Tensor:
     """Gather rows of a tensor whose leading axes are read as one row axis:
     `ids` index the rows of `a.reshape(-1, a.shape[-1])`. Also the embedding
@@ -408,17 +426,8 @@ def rows(a, ids) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim < 2:
         raise ShapeError("rows expects a tensor of at least two axes")
-    ids = np.asarray(ids, dtype=int)
-    shape = a.data.shape
-    table = a.data.reshape(-1, shape[-1])
-    out = table[ids]
-
-    def vjp(g):
-        acc = np.zeros_like(table)
-        np.add.at(acc, ids, g)
-        return acc.reshape(shape)
-
-    return _result("rows", out, [a], [vjp])
+    return _gather("rows", a, a.data.reshape(-1, a.data.shape[-1]),
+                   np.asarray(ids, dtype=int))
 
 
 def take(a, ids) -> Tensor:
@@ -426,16 +435,7 @@ def take(a, ids) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 1:
         raise ShapeError("take expects a 1-D tensor")
-    ids = np.asarray(ids, dtype=int)
-    data = a.data
-    out = data[ids]
-
-    def vjp(g):
-        acc = np.zeros_like(data)
-        np.add.at(acc, ids, g)
-        return acc
-
-    return _result("take", out, [a], [vjp])
+    return _gather("take", a, a.data, np.asarray(ids, dtype=int))
 
 
 def pick(a, i: int) -> Tensor:
@@ -443,14 +443,7 @@ def pick(a, i: int) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 1:
         raise ShapeError("pick expects a 1-D tensor")
-    data = a.data
-
-    def vjp(g):
-        acc = np.zeros_like(data)
-        acc[i] = g
-        return acc
-
-    return _result("pick", data[i], [a], [vjp])
+    return _gather("pick", a, a.data, i)
 
 
 def relu(a) -> Tensor:
@@ -579,13 +572,18 @@ def einsum(spec: str, a, b) -> Tensor:
 
 
 def logsumexp(a, axis=None) -> Tensor:
-    """Stabilized log-sum-exp, composed from primitives (exact gradient)."""
+    """Stabilized log-sum-exp over `axis`, or over all entries when None, as
+    one op. Value and gradient have the bits of the composed chain
+    `add(log(tsum(exp(sub(a, top)))), top)`: the sum is sorted and the
+    gradient is `g / sum * exp(a - top)`."""
     a = as_tensor(a)
-    if axis is None:
-        m = float(a.data.max())
-        return add(log(tsum(exp(sub(a, m)))), m)
-    m = a.data.max(axis=axis, keepdims=True)
-    return add(log(tsum(exp(sub(a, m)), axis=axis)), np.squeeze(m, axis=axis))
+    shape = a.data.shape
+    x, ax = (a.data.reshape(-1), 0) if axis is None else (a.data, axis)
+    top = x.max(axis=ax, keepdims=True)
+    e = np.exp(x - top)
+    s = _stable_sum(e, axis=ax, keepdims=True)
+    return _result("logsumexp", np.squeeze(np.log(s) + top, axis=ax), [a],
+                   [lambda g: (np.expand_dims(g, ax) / s * e).reshape(shape)])
 
 
 def gru_cell(h, m, params: dict) -> Tensor:

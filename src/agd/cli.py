@@ -246,12 +246,12 @@ def cmd_nll(args) -> int:
         if args.exact_max and g.n <= args.exact_max:
             rec["exact_nll"] = exact_marginal(bundle, g, args.exact_max).nats
         records.append(rec)
-    lines = [json.dumps(r, sort_keys=True) for r in records]
+    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     else:
-        print("\n".join(lines))
+        sys.stdout.write(text)
     return 0
 
 

@@ -193,12 +193,12 @@ class DenoiserNet(ad.Network):
             for l in range(c.layers):
                 wh = ad.add(ad.matmul(h, self._get(tape, f"l{l}_w")),
                             self._get(tape, f"l{l}_b"))
-                s = ad.reshape(ad.einsum("bnd,d->bn", wh, self._get(tape, f"l{l}_asrc")),
-                               (B, m, 1))
-                r = ad.reshape(ad.einsum("bnd,d->bn", wh, self._get(tape, f"l{l}_adst")),
-                               (B, 1, m))
-                logits = ad.add(s, r)
+                # laid out (b, -, j, d), so the messages broadcast over i and
+                # the scores come out as (b, i, -) and (b, -, j)
                 msgs = ad.reshape(wh, (B, 1, m, c.hidden))
+                s = ad.einsum("bxnd,d->bnx", msgs, self._get(tape, f"l{l}_asrc"))
+                r = ad.einsum("bxnd,d->bxn", msgs, self._get(tape, f"l{l}_adst"))
+                logits = ad.add(s, r)
                 if c.edge_in_attention:
                     # per-token tables, gathered: a pair's terms depend on its
                     # token alone, never on where its row sits in a product
@@ -316,26 +316,25 @@ class DenoiserNet(ad.Network):
     def _stack_log_likelihood(self, views, node_types, observed_edges,
                               tape: Tape | None) -> Tensor:
         """The (B,) step log-likelihoods of B views of one size."""
-        for view, node_type, observed in zip(views, node_types, observed_edges):
-            self._check_labels(view, node_type, observed)
         return self._heads_log_likelihood(views, node_types, observed_edges,
                                           *self._stack_log_heads(views, tape))
 
     def _heads_log_likelihood(self, views, node_types, observed_edges, node_logp,
                               mix_logw, edge_logp) -> Tensor:
         """The (B,) step log-likelihoods of B views of one size, from their
-        `_stack_log_heads`."""
-        c = self.config
-        B = len(views)
-        ll = ad.take(ad.reshape(node_logp, (B * c.num_node_types,)),
-                     np.arange(B) * c.num_node_types + node_types)
+        `_stack_log_heads`. The labels are checked here, before they index."""
+        for view, node_type, observed in zip(views, node_types, observed_edges):
+            self._check_labels(view, node_type, observed)
+        B, T = node_logp.shape
+        ll = ad.take(ad.reshape(node_logp, (B * T,)), np.arange(B) * T + node_types)
         if mix_logw is None:
             return ll
-        onehot = np.zeros((B, 1, views[0].size - 1, c.num_edge_types))
-        for b, (view, observed) in enumerate(zip(views, observed_edges)):
-            onehot[b, 0, np.arange(onehot.shape[2]),
-                   [observed[v] for v in view.prev_nodes()]] = 1.0
-        comps = ad.tsum(ad.tsum(ad.mul(edge_logp, onehot), axis=3), axis=2)   # (B, K)
+        _, K, P, E = edge_logp.shape
+        states = [[observed[v] for v in view.prev_nodes()]
+                  for view, observed in zip(views, observed_edges)]
+        # flat index of (view b, component k, pair p, observed state of p)
+        flat = np.arange(B * K * P).reshape(B, K, P) * E + np.array(states)[:, None, :]
+        comps = ad.tsum(ad.take(ad.reshape(edge_logp, (-1,)), flat), axis=2)   # (B, K)
         return ad.add(ll, ad.logsumexp(ad.add(mix_logw, comps), axis=1))
 
     def taped_log_likelihoods(self, views, node_types, observed_edges,
@@ -349,9 +348,6 @@ class DenoiserNet(ad.Network):
         the lot rather than one per view; each view's scoring then reads its
         own rows."""
         K = self.config.mixtures
-        for view, node_type, observed in zip(views, node_types, observed_edges,
-                                             strict=True):
-            self._check_labels(view, node_type, observed)
         trunks = [self._trunk(view, tape) for view in views]
         pairs = [pair for _, _, pair in trunks if pair is not None]
         if pairs:
@@ -359,7 +355,7 @@ class DenoiserNet(ad.Network):
             lanes = np.arange(K)[:, None] * edge_logp.shape[2]    # row of each k's first pair
         out, lo = [], 0
         for view, node_type, observed, (node_logp, mix_logw, pair) in zip(
-                views, node_types, observed_edges, trunks):
+                views, node_types, observed_edges, trunks, strict=True):
             own = None
             if pair is not None:
                 hi = lo + pair.shape[1]

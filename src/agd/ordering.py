@@ -140,8 +140,9 @@ class OrderingNet(ad.Network):
         neighbours = ((graph.adjacency != ABSENT) | np.eye(n, dtype=bool))[:, :, None]
         for w, a_src, a_dst in weights:
             # wh is laid out (b, -, j, head, k), so it broadcasts over i below
+            # and the scores come out as (b, i, -, head) and (b, -, j, head)
             wh = ad.reshape(ad.matmul(h, w), (b, 1, n, c.heads, c.hidden))
-            s = ad.reshape(ad.einsum("bxnhk,hk->bxnh", wh, a_src), (b, n, 1, c.heads))
+            s = ad.einsum("bxnhk,hk->bnxh", wh, a_src)
             r = ad.einsum("bxnhk,hk->bxnh", wh, a_dst)
             logits = ad.leaky_relu(ad.add(s, r), slope=c.leaky_slope)
             alpha = ad.masked_softmax(logits, neighbours, axis=2)

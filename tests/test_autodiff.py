@@ -159,6 +159,38 @@ def test_grad_check_logsumexp_and_gather():
     assert grad_check(fn, params) < 1e-4
 
 
+def _composed_logsumexp(a, axis=None):
+    """log-sum-exp as the chain of five primitives that `ad.logsumexp` fuses."""
+    if axis is None:
+        m = float(a.data.max())
+        return ad.add(ad.log(ad.tsum(ad.exp(ad.sub(a, m)))), m)
+    m = a.data.max(axis=axis, keepdims=True)
+    return ad.add(ad.log(ad.tsum(ad.exp(ad.sub(a, m)), axis=axis)), np.squeeze(m, axis=axis))
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 5), (2, 3, 4)])
+def test_fused_logsumexp_equals_the_composed_chain(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(size=shape) * 3.0
+    x[(0,) * (len(shape) - 1)] = np.linspace(-900.0, 0.0, shape[-1])  # exp underflows to 0
+    for axis in [None] + list(range(len(shape))) + [-1]:
+        results = []
+        for fn in (ad.logsumexp, _composed_logsumexp):
+            tape = Tape()
+            a = tape.watch(Parameter("x", x))
+            before = len(tape._entries)
+            out = fn(a, axis)
+            entries = len(tape._entries) - before
+            weights = np.random.default_rng(1).normal(size=out.shape)
+            grad = tape.gradients(ad.tsum(ad.mul(out, weights)))["x"]
+            results.append((out.data, grad, entries))
+        (value, grad, entries), (ref_value, ref_grad, _) = results
+        assert value.shape == ref_value.shape
+        assert np.array_equal(value, ref_value), axis
+        assert np.array_equal(grad, ref_grad), axis
+        assert entries == 1
+
+
 def test_grad_check_matmul_blocks():
     rng = np.random.default_rng(7)
     params = {f"x{i}": Parameter(f"x{i}", rng.normal(size=(1, rows, 4)))

@@ -316,6 +316,29 @@ class TestNll:
         assert [r["n"] for r in records] == [2, 3]
         assert all("exact_nll" in r for r in records)
 
+    def test_no_graphs_write_nothing(self, tmp_path, tiny_checkpoint, capsys):
+        corpus, out = tmp_path / "empty.jsonl", tmp_path / "nll.jsonl"
+        corpus.write_text("")
+        assert run(["nll", "--checkpoint", tiny_checkpoint, "--corpus", corpus,
+                    "--samples", 3, "--out", out]) == 0
+        assert out.read_text() == ""
+        capsys.readouterr()
+        assert run(["nll", "--checkpoint", tiny_checkpoint, "--corpus", corpus,
+                    "--samples", 3]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_stdout_holds_one_line_per_graph(self, tmp_path, tiny_checkpoint, capsys):
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "nll.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 2, "--seed", 8,
+             "--out", corpus])
+        argv = ["nll", "--checkpoint", tiny_checkpoint, "--corpus", corpus,
+                "--samples", 3, "--seed", 4]
+        assert run(argv + ["--out", out]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert len(out.read_text().splitlines()) == 2
+
 
 class TestAblate:
     def test_report_structure(self, tmp_path, tiny_checkpoint):

@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+from agd import autodiff as ad
 from agd.autodiff import Tape
 from agd.denoiser import (STACK_PAIR_BUDGET, DenoiserConfig, DenoiserNet, StepSampler,
                           stack_chunks)
@@ -135,6 +136,69 @@ class TestSlicesEqualStacksOfOne:
                                     tape=Tape())
         with pytest.raises(ValueError, match="edge mask"):
             net.sample_step(views, [rng, rng], edge_mask={views[0].nodes[0]})
+
+
+def one_hot_log_likelihood(net, views, node_types, observed_edges, tape):
+    """The (B,) step log-likelihoods scored over `_stack_log_heads` by a
+    one-hot product over the edge states and two sorted sums."""
+    c = net.config
+    B = len(views)
+    node_logp, mix_logw, edge_logp = net._stack_log_heads(views, tape)
+    ll = ad.take(ad.reshape(node_logp, (B * c.num_node_types,)),
+                 np.arange(B) * c.num_node_types + node_types)
+    if mix_logw is None:
+        return ll
+    onehot = np.zeros((B, 1, views[0].size - 1, c.num_edge_types))
+    for b, (view, observed) in enumerate(zip(views, observed_edges)):
+        onehot[b, 0, np.arange(onehot.shape[2]),
+               [observed[v] for v in view.prev_nodes()]] = 1.0
+    comps = ad.tsum(ad.tsum(ad.mul(edge_logp, onehot), axis=3), axis=2)
+    return ad.add(ll, ad.logsumexp(ad.add(mix_logw, comps), axis=1))
+
+
+class TestScoringByGather:
+    """Reading each observed edge state by one gather gives the bits of the
+    one-hot product it replaced, in values and in every gradient."""
+
+    @staticmethod
+    def gradients(net, loss_fn):
+        tape = Tape()
+        for p in net.params.values():
+            tape.register(p)
+        loss = loss_fn(tape)
+        return loss.item(), tape.gradients(loss)
+
+    def check(self, net, views):
+        rng = np.random.default_rng(len(views))
+        node_types, observed = map(list, zip(*(labels(v, rng) for v in views)))
+        got = net._stack_log_likelihood(views, node_types, observed, None)
+        want = one_hot_log_likelihood(net, views, node_types, observed, None)
+        assert np.array_equal(got.data, want.data)
+        for view, node_type, obs in zip(views, node_types, observed):
+            ll, grads = self.gradients(net, lambda tape: net.step_log_likelihood(
+                view, node_type, obs, tape))
+            ref_ll, ref_grads = self.gradients(net, lambda tape: ad.reshape(
+                one_hot_log_likelihood(net, [view], [node_type], [obs], tape), ()))
+            assert ll == ref_ll
+            assert grads.keys() == ref_grads.keys()
+            for name, g in grads.items():
+                assert np.array_equal(g, ref_grads[name]), name
+
+    @pytest.mark.parametrize("paper", [False, True])
+    @pytest.mark.parametrize("aggregator, overrides", CASES)
+    def test_equals_the_one_hot_product(self, aggregator, overrides, paper):
+        net = denoiser(aggregator, paper=paper, seed=21, **overrides)
+        for m in (1, 4):
+            self.check(net, views_of_size(m, 3, seed=m))
+
+    @pytest.mark.parametrize("aggregator, overrides", CASES)
+    def test_a_component_with_zero_responsibility(self, aggregator, overrides):
+        net = denoiser(aggregator, seed=22, **overrides)
+        net.params["mh2b"].data[1] = -1000.0
+        views = views_of_size(4, 3, seed=4)
+        _, mix_logw, _ = net._stack_log_heads(views, None)
+        assert (np.exp(mix_logw.data[:, 1]) == 0.0).all()
+        self.check(net, views)
 
 
 def reference_draw(net, view, rng):

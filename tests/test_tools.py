@@ -1,10 +1,18 @@
 import importlib.util
 from pathlib import Path
 
+import agd.autodiff
+import agd.denoiser
+
 _SPEC = importlib.util.spec_from_file_location(
     "code_lines", Path(__file__).resolve().parents[1] / "tools" / "code_lines.py")
 code_lines = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(code_lines)
+
+_OP_COUNTS_SPEC = importlib.util.spec_from_file_location(
+    "op_counts", Path(__file__).resolve().parents[1] / "tools" / "op_counts.py")
+op_counts = importlib.util.module_from_spec(_OP_COUNTS_SPEC)
+_OP_COUNTS_SPEC.loader.exec_module(op_counts)
 
 SOURCE = '''"""Module docstring,
 over two lines."""
@@ -40,3 +48,16 @@ def test_main_prints_the_total_over_a_tree(tmp_path, capsys):
     (tmp_path / "pkg" / "notes.txt").write_text("not python\n")
     assert code_lines.main([str(tmp_path / "pkg")]) == 0
     assert capsys.readouterr().out == "10\n"
+
+
+def test_op_counts_repeat_and_restore_every_op(capsys):
+    add, gru_cell = agd.autodiff.add, agd.autodiff.gru_cell
+    tables = []
+    for _ in range(2):
+        assert op_counts.main([]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    lines = tables[0].splitlines()
+    assert len(lines) == 8 and all(int(line.split()[-1]) > 0 for line in lines[1:])
+    assert agd.autodiff.add is add
+    assert agd.denoiser.gru_cell is gru_cell is agd.autodiff.gru_cell
