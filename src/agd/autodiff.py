@@ -5,10 +5,17 @@ GRU updates and categorical heads, at graph sizes where clarity beats speed.
 Reductions over an axis sum their inputs in sorted order, so any computation
 whose inputs are a permutation of another's produces bit-identical values.
 
+A tape entry is the list of (parent node id, vjp) pairs of one op's tracked
+inputs, in input order; a parameter's entry is empty. The backward sweep
+calls each pair's vjp on the node's gradient and adds the result into that
+parent's gradient, in input order.
+
 One computation is one tape op. `rows`, `take` and `pick` are one gather
-whose backward is one scatter-add, and `logsumexp` is one op whose value and
-gradient repeat the arithmetic of its composed chain (`sub`, `exp`, `tsum`,
-`log`, `add`) in the same order.
+whose backward is one scatter-add. `take` and `pick` read their operand flat
+(`ids` index `a.reshape(-1)`), so a gather from a tensor of any shape needs
+no reshape first. `logsumexp` is one op whose value and gradient repeat the
+arithmetic of its composed chain (`sub`, `exp`, `tsum`, `log`, `add`) in the
+same order.
 
 Memory rule: a backward closure holds arrays, shapes and indices, never a
 `Tensor`, and the tape keeps node ids, not tensors. A tracked tensor points
@@ -92,12 +99,12 @@ class Tape:
     """
 
     def __init__(self):
-        self._entries: list[tuple[tuple[int, ...], object]] = []
+        self._entries: list[list[tuple[int, object]]] = []
         self._param_nodes: dict[str, int] = {}
         self._param_shapes: dict[str, tuple] = {}
 
-    def _add(self, parent_ids: tuple[int, ...], vjp) -> int:
-        self._entries.append((parent_ids, vjp))
+    def _add(self, parents: list[tuple[int, object]]) -> int:
+        self._entries.append(parents)
         return len(self._entries) - 1
 
     def watch(self, param: Parameter) -> "Tensor":
@@ -105,7 +112,7 @@ class Tape:
         call returns a tensor on the same node)."""
         nid = self._param_nodes.get(param.name)
         if nid is None:
-            nid = self._add((), None)
+            nid = self._add([])
             self._param_nodes[param.name] = nid
             self._param_shapes[param.name] = param.data.shape
         return Tensor(param.data, self, nid)
@@ -123,20 +130,13 @@ class Tape:
         grads: list = [None] * len(self._entries)
         grads[loss.nid] = np.array(1.0)
         for nid in range(loss.nid, -1, -1):
-            gout = grads[nid]
-            if gout is None:
-                continue
-            parent_ids, vjp = self._entries[nid]
-            if vjp is None:
+            gout, parents = grads[nid], self._entries[nid]
+            if gout is None or not parents:
                 continue
             grads[nid] = None   # spent: only parameter nodes keep theirs
-            for pid, pg in zip(parent_ids, vjp(gout)):
-                if pg is None:
-                    continue
-                if grads[pid] is None:
-                    grads[pid] = pg
-                else:
-                    grads[pid] = grads[pid] + pg
+            for pid, vjp in parents:
+                pg = vjp(gout)
+                grads[pid] = pg if grads[pid] is None else grads[pid] + pg
         out = {}
         for name, nid in self._param_nodes.items():
             g = grads[nid]
@@ -234,22 +234,15 @@ def _result(op: str, data, inputs: list[Tensor], vjps: list) -> Tensor:
     """Create the result of the op named `op`; record it when any input is
     tracked.
 
-    `vjps[i]` maps the output gradient to input i's gradient; entries for
-    untracked inputs are skipped.
+    `vjps[i]` maps the output gradient to input i's gradient; the tape
+    entry is the (node id, vjp) pairs of the tracked inputs, in input order.
     """
     data = _check_finite(np.asarray(data, dtype=np.float64), op)
     tape = _common_tape(*inputs)
     if tape is None:
         return Tensor(data)
-    tracked = [(t, v) for t, v in zip(inputs, vjps) if t.tape is not None]
-    parent_ids = tuple(t.nid for t, _ in tracked)
-    fns = [v for _, v in tracked]
-
-    def vjp(gout):
-        return [fn(gout) for fn in fns]
-
-    nid = tape._add(parent_ids, vjp)
-    return Tensor(data, tape, nid)
+    return Tensor(data, tape, tape._add([(t.nid, v) for t, v in zip(inputs, vjps)
+                                         if t.tape is not None]))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +400,8 @@ def tile_row(v, k: int) -> Tensor:
 
 
 def _gather(op: str, a: Tensor, table: np.ndarray, ids) -> Tensor:
-    """`table[ids]`, where `table` is `a`'s data or a reshape of it. The
-    backward is one scatter-add of the gradient into a zero table."""
+    """`table[ids]`, where `table` is a reshape of `a`'s data. The backward
+    is one scatter-add of the gradient into a zero table."""
     shape = a.data.shape
 
     def vjp(g):
@@ -431,19 +424,15 @@ def rows(a, ids) -> Tensor:
 
 
 def take(a, ids) -> Tensor:
-    """Gather entries of a 1-D tensor."""
+    """Gather entries of a tensor read flat: `ids` index `a.reshape(-1)`."""
     a = as_tensor(a)
-    if a.data.ndim != 1:
-        raise ShapeError("take expects a 1-D tensor")
-    return _gather("take", a, a.data, np.asarray(ids, dtype=int))
+    return _gather("take", a, a.data.reshape(-1), np.asarray(ids, dtype=int))
 
 
 def pick(a, i: int) -> Tensor:
-    """A single entry of a 1-D tensor, as a scalar."""
+    """Entry i of a tensor read flat, as a scalar."""
     a = as_tensor(a)
-    if a.data.ndim != 1:
-        raise ShapeError("pick expects a 1-D tensor")
-    return _gather("pick", a, a.data, i)
+    return _gather("pick", a, a.data.reshape(-1), i)
 
 
 def relu(a) -> Tensor:

@@ -140,18 +140,25 @@ def gen_ego(rng: np.random.Generator, count: int, base_size: int = 120,
         base = new_graph([0] * base_size, [(i, j, 1) for i, j in base_pairs], 1, 2)
     if base.n == 0:
         raise ValueError("empty ego base graph")
-    graphs = []
-    while len(graphs) < count:
-        center = int(rng.integers(0, base.n))
-        g, c = ego_graph(base, center, radius=2)
+
+    def clipped(center: int) -> LabeledGraph:
+        g, _ = ego_graph(base, center, radius=2)
         if g.n > hi:
-            g, c = ego_graph(base, center, radius=1)
+            g, _ = ego_graph(base, center, radius=1)
         if g.n > hi:
             # keep the center and its lowest-indexed neighbors
             g = _induced(base, {center, *base.neighbors(center)[:hi - 1]})
-        if g.n < lo:
-            continue
-        graphs.append(g)
+        return g
+
+    # checked without the rng, so every corpus that generates is unchanged
+    if count > 0 and not any(lo <= clipped(c).n for c in range(base.n)):
+        raise ValueError(f"no ego graph of the base has a size in size_range "
+                         f"{tuple(size_range)}")
+    graphs = []
+    while len(graphs) < count:
+        g = clipped(int(rng.integers(0, base.n)))
+        if g.n >= lo:
+            graphs.append(g)
     return Corpus(graphs, base.num_node_types, base.num_edge_types,
                   {"generator": "ego", "size_range": list(size_range)})
 
@@ -213,7 +220,7 @@ GENERATORS = {
 
 def split(corpus: Corpus, seed: int, val_fraction: float = 0.2):
     """(train, val, test): 80/20 train-side vs test, validation carved out of
-    the training side (default 20%, switchable to 25%)."""
+    the training side (`val_fraction` of it, default 20%)."""
     n = len(corpus)
     if n < 5:
         raise ValueError("corpus too small to split (need >= 5 graphs)")

@@ -320,21 +320,24 @@ class DenoiserNet(ad.Network):
                                           *self._stack_log_heads(views, tape))
 
     def _heads_log_likelihood(self, views, node_types, observed_edges, node_logp,
-                              mix_logw, edge_logp) -> Tensor:
+                              mix_logw, edge_logp, offset: int = 0) -> Tensor:
         """The (B,) step log-likelihoods of B views of one size, from their
-        `_stack_log_heads`. The labels are checked here, before they index."""
+        `_stack_log_heads`. `edge_logp` may hold more pair rows than the
+        views have pairs; the views' pairs start at row `offset` of its pair
+        axis. The labels are checked here, before they index."""
         for view, node_type, observed in zip(views, node_types, observed_edges):
             self._check_labels(view, node_type, observed)
         B, T = node_logp.shape
-        ll = ad.take(ad.reshape(node_logp, (B * T,)), np.arange(B) * T + node_types)
+        ll = ad.take(node_logp, np.arange(B) * T + node_types)
         if mix_logw is None:
             return ll
-        _, K, P, E = edge_logp.shape
-        states = [[observed[v] for v in view.prev_nodes()]
-                  for view, observed in zip(views, observed_edges)]
-        # flat index of (view b, component k, pair p, observed state of p)
-        flat = np.arange(B * K * P).reshape(B, K, P) * E + np.array(states)[:, None, :]
-        comps = ad.tsum(ad.take(ad.reshape(edge_logp, (-1,)), flat), axis=2)   # (B, K)
+        _, K, rows, E = edge_logp.shape
+        states = np.array([[observed[v] for v in view.prev_nodes()]
+                           for view, observed in zip(views, observed_edges)])
+        # flat index of (view b, component k, pair row offset + p, observed state of p)
+        lane = np.arange(B)[:, None, None] * K + np.arange(K)[:, None]
+        flat = (lane * rows + offset + np.arange(states.shape[1])) * E + states[:, None, :]
+        comps = ad.tsum(ad.take(edge_logp, flat), axis=2)               # (B, K)
         return ad.add(ll, ad.logsumexp(ad.add(mix_logw, comps), axis=1))
 
     def taped_log_likelihoods(self, views, node_types, observed_edges,
@@ -347,22 +350,15 @@ class DenoiserNet(ad.Network):
         the views' pair rows, so its weights get one gradient product for
         the lot rather than one per view; each view's scoring then reads its
         own rows."""
-        K = self.config.mixtures
         trunks = [self._trunk(view, tape) for view in views]
         pairs = [pair for _, _, pair in trunks if pair is not None]
-        if pairs:
-            edge_logp = self._edge_log_probs(pairs, tape)         # (1, K, sum P, E)
-            lanes = np.arange(K)[:, None] * edge_logp.shape[2]    # row of each k's first pair
-        out, lo = [], 0
-        for view, node_type, observed, (node_logp, mix_logw, pair) in zip(
+        edge_logp = self._edge_log_probs(pairs, tape) if pairs else None   # (1, K, sum P, E)
+        out, offset = [], 0
+        for view, node_type, observed, (node_logp, mix_logw, _) in zip(
                 views, node_types, observed_edges, trunks, strict=True):
-            own = None
-            if pair is not None:
-                hi = lo + pair.shape[1]
-                own = ad.rows(edge_logp, (lanes + np.arange(lo, hi))[None])   # (1, K, P, E)
-                lo = hi
             ll = self._heads_log_likelihood([view], [node_type], [observed],
-                                            node_logp, mix_logw, own)
+                                            node_logp, mix_logw, edge_logp, offset)
+            offset += view.size - 1           # the view's pairs: its other nodes
             out.append(ad.reshape(ll, ()))
         return out
 

@@ -188,10 +188,10 @@ def _read_v2(fh, header: dict, path):
                   for label, st in header["optimizers"].items()}
     entries = []
     for kind, label, name, shape in header["manifest"]:
-        shape = tuple(int(d) for d in shape)
-        if kind not in _KINDS or not isinstance(name, str) or any(d < 0 for d in shape):
+        if (kind not in _KINDS or not isinstance(name, str)
+                or not all(is_integer(d) and d >= 0 for d in shape)):
             raise CheckpointError(f"{path}: bad manifest entry {[kind, label, name, shape]}")
-        entries.append((kind, label, name, shape))
+        entries.append((kind, label, name, tuple(shape)))
     expected = sum(math.prod(shape) for *_, shape in entries) * _DTYPE.itemsize
     actual = os.fstat(fh.fileno()).st_size - fh.tell()
     if actual != expected:

@@ -216,13 +216,12 @@ class OrderingNet(ad.Network):
     def ordering_log_prob(self, graph: LabeledGraph, ordering,
                           tape: Tape | None = None) -> Tensor:
         """log q(ordering | graph), differentiable when a tape is given. One
-        stacked forward scores the n prefixes; the step log-probabilities
-        are added in step order from zero."""
+        stacked forward scores the n prefixes, (n, n), which each step reads
+        flat; the step log-probabilities are added in step order from zero."""
         ordering = [int(v) for v in ordering]
         if sorted(ordering) != list(range(graph.n)):
             raise GraphError("ordering is not a permutation of the node ids")
-        scores = ad.reshape(self._stack_node_scores(
-            graph, [ordering[:t] for t in range(graph.n)], tape), (-1,))
+        scores = self._stack_node_scores(graph, [ordering[:t] for t in range(graph.n)], tape)
         total = Tensor(0.0)
         for t, v in enumerate(ordering):
             remaining = sorted(ordering[t:])

@@ -206,6 +206,45 @@ def test_grad_check_matmul_blocks():
     assert grad_check(fn, params) < 1e-6
 
 
+def _flat_gather_results(x, gather):
+    """`gather(a)` of x watched on a tape: its value and x's gradient under a
+    fixed random weighting."""
+    tape = Tape()
+    out = gather(tape.watch(Parameter("x", x)))
+    weights = np.random.default_rng(2).normal(size=out.shape)
+    return out.data, tape.gradients(ad.tsum(ad.mul(out, weights)))["x"]
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (2, 3, 4)])
+def test_take_and_pick_read_any_tensor_flat(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(size=shape)
+    ids = rng.integers(0, x.size, size=(3, 4))
+    ids[0, :2] = ids[1, 3]                       # a repeated entry adds its gradients
+    cases = [(lambda a: ad.take(a, ids), lambda a: ad.take(ad.reshape(a, (-1,)), ids))]
+    cases += [(lambda a, i=i: ad.pick(a, i), lambda a, i=i: ad.pick(ad.reshape(a, (-1,)), i))
+              for i in (0, int(ids[1, 3]), x.size - 1)]
+    for flat, via_reshape in cases:
+        (value, grad), (want_value, want_grad) = (_flat_gather_results(x, flat),
+                                                  _flat_gather_results(x, via_reshape))
+        assert value.shape == want_value.shape
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(grad, want_grad)
+
+
+def test_grad_check_take_of_a_3d_tensor():
+    rng = np.random.default_rng(9)
+    params = {"t": Parameter("t", rng.normal(size=(2, 3, 4)))}
+    ids = np.array([[0, 5, 23], [5, 17, 11]])
+    weights = rng.normal(size=ids.shape)
+
+    def fn(tape):
+        t = tape.watch(params["t"]) if tape is not None else Tensor(params["t"].data)
+        return ad.tsum(ad.mul(ad.exp(ad.take(t, ids)), weights))
+
+    assert grad_check(fn, params) < 1e-6
+
+
 class TestMatmulBlocks:
     def test_each_block_has_the_bits_of_its_own_matmul(self):
         """At the default edge-head widths, blocks of 1 to 15 rows, each

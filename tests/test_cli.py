@@ -173,6 +173,23 @@ class TestBadCheckpoint:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:"), err
 
+    @pytest.mark.parametrize("chosen, dims_of", [
+        (lambda dims: dims == [1], lambda dims: [True]),
+        (lambda dims: len(dims) == 2, lambda dims: [d + 0.9 for d in dims]),
+    ], ids=["bool", "fractions"])
+    def test_non_integer_dimension_is_one_error_line(self, tmp_path, tiny_checkpoint,
+                                                     capsys, chosen, dims_of):
+        # int() would read either as the stored shape, so the file would load
+        path = Path(tiny_checkpoint)
+        manifest = json.loads(path.read_bytes().split(b"\n", 1)[0])["manifest"]
+        i = next(i for i, (*_, dims) in enumerate(manifest) if chosen(dims))
+        _edit_header(path, ("manifest", i, 3), dims_of(manifest[i][3]))
+        code = run(["generate", "--checkpoint", path, "--count", 1, "--n", 3,
+                    "--out", tmp_path / "g.jsonl"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "bad manifest entry" in err[0]
+
     def test_directory_is_an_error(self, tmp_path, capsys):
         code = run(["generate", "--checkpoint", tmp_path, "--count", 1, "--n", 3,
                     "--out", tmp_path / "g.jsonl"])

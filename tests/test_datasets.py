@@ -1,12 +1,14 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from agd.datasets import (TYPED_TOY_NODE_TYPE_PROBS, Corpus, export_dot,
+from agd.datasets import (TYPED_TOY_NODE_TYPE_PROBS, Corpus, _induced,
+                          _preferential_attachment, ego_graph, export_dot,
                           export_trace_dot, gen_caveman, gen_community_small,
                           gen_ego, gen_er, gen_typed_toy, load_corpus,
                           save_corpus, split)
@@ -137,6 +139,38 @@ class TestEgo:
     def test_empty_base_rejected(self):
         with pytest.raises(Exception):
             gen_ego(np.random.default_rng(0), 1, base_size=0)
+
+    @pytest.mark.parametrize("base, size_range", [
+        (new_graph([0] * 5, [], 1, 2), (4, 18)),              # isolated nodes
+        (new_graph([0] * 30, [(i, i + 1, 1) for i in range(29)], 1, 2), (6, 18)),
+        (None, (10, 5)),
+    ], ids=["isolated", "path-too-short", "empty-range"])
+    def test_unreachable_size_range_is_an_error(self, base, size_range):
+        with pytest.raises(ValueError, match=re.escape(f"size_range {size_range}")):
+            gen_ego(np.random.default_rng(0), 3, base_size=20, size_range=size_range,
+                    base=base)
+
+    @pytest.mark.parametrize("size_range", [(4, 18), (2, 3), (17, 18)])
+    def test_draws_are_those_of_the_sampling_loop(self, size_range):
+        # the sampling loop alone, with no up-front check: the corpus is the
+        # same graph for graph, and the rng ends in the same place
+        lo, hi = size_range
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        corpus = gen_ego(rng, 12, base_size=60, size_range=size_range)
+        base_pairs = _preferential_attachment(ref_rng, 60)
+        base = new_graph([0] * 60, [(i, j, 1) for i, j in base_pairs], 1, 2)
+        want = []
+        while len(want) < 12:
+            center = int(ref_rng.integers(0, base.n))
+            g, _ = ego_graph(base, center, radius=2)
+            if g.n > hi:
+                g, _ = ego_graph(base, center, radius=1)
+            if g.n > hi:
+                g = _induced(base, {center, *base.neighbors(center)[:hi - 1]})
+            if g.n >= lo:
+                want.append(g)
+        assert corpus.graphs == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestTypedToy:

@@ -145,6 +145,20 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="truncated or padded"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape, dims", [
+        ((1,), [True]), ((2, 3), [2.9, 3.2]), ((2, 3), [2.0, 3]), ((4,), ["4"]),
+        ((2, 3), [2, None]),
+    ], ids=["bool", "fractions", "integral-float", "text", "null"])
+    def test_non_integer_manifest_dimension_rejected(self, tmp_path, shape, dims):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params_of({"w": np.ones(shape)}))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["manifest"][0][3] = dims
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError, match="bad manifest entry"):
+            load_checkpoint(path)
+
     def test_moment_of_unknown_parameter_rejected(self, tmp_path):
         state = AdamState(lr=0.1)
         state.m = {"ghost": np.zeros(2)}
