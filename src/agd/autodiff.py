@@ -15,7 +15,13 @@ whose backward is one scatter-add. `take` and `pick` read their operand flat
 (`ids` index `a.reshape(-1)`), so a gather from a tensor of any shape needs
 no reshape first. `logsumexp` is one op whose value and gradient repeat the
 arithmetic of its composed chain (`sub`, `exp`, `tsum`, `log`, `add`) in the
-same order.
+same order. `tsum` and `logsumexp` over all entries read their operand flat
+along axis 0, so each has one code path.
+
+`matmul` has one backward rule at every operand rank: a 1-D `a` is read as
+one row and a 1-D `b` as one column, as numpy reads them, and the gradients
+of those 2-D views are two products, `_lhs_grad` and `_rhs_grad`, that
+`matmul_blocks` calls for its block and weight gradients too.
 
 Memory rule: a backward closure holds arrays, shapes and indices, never a
 `Tensor`, and the tape keeps node ids, not tensors. A tracked tensor points
@@ -25,6 +31,8 @@ every activation its closures hold are freed by reference counting as soon
 as the last tensor recorded on it is dropped; `training.fit` relies on this
 to hold one tape at a time. The backward sweep likewise drops each node's
 gradient once it has passed it on, so only the parameters' gradients last.
+A closure that needs only an operand's shape holds the shape, so `tsum` and
+`matmul` keep alive no operand that their gradients do not read.
 """
 
 from __future__ import annotations
@@ -72,11 +80,9 @@ def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
     return data
 
 
-def _stable_sum(data: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
+def _stable_sum(data: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     # Canonical (sorted) summation order: permutation-invariant forward values.
     # numpy's reduction order follows the memory layout, so fix that too.
-    if axis is None:
-        return np.sort(data, axis=None).sum()
     return np.sort(np.ascontiguousarray(data), axis=axis).sum(axis=axis, keepdims=keepdims)
 
 
@@ -284,10 +290,26 @@ def mul(a, b) -> Tensor:
     ])
 
 
+def _lhs_grad(g, b):
+    """The gradient of `a` in `a @ b`, for 2-D `b` and the output gradient
+    `g`; a stack of `a` gets it slice by slice."""
+    return g @ b.T
+
+
+def _rhs_grad(a, g):
+    """The gradient of the (k, n) `b` in `a @ b`: one product over all the
+    rows of `a` and of the output gradient `g`."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product of 1-D or 2-D operands, or of a stack of matrices
     (B, ..., m, k) with one (k, n) matrix. numpy multiplies a stack slice by
-    slice, so each slice of the result has the bits of its own product."""
+    slice, so each slice of the result has the bits of its own product.
+
+    The backward is one rule at every rank: as numpy does, a 1-D `a` is read
+    as one row and a 1-D `b` as one column, and the gradients of those 2-D
+    views are `_lhs_grad` and `_rhs_grad`, which `matmul_blocks` shares."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     an, bn = ad.ndim, bd.ndim
@@ -297,28 +319,13 @@ def matmul(a, b) -> Tensor:
         out = ad @ bd
     except ValueError as exc:
         raise ShapeError(str(exc)) from None
-
-    def grad_a(g):
-        if an >= 2 and bn == 2:
-            return g @ bd.T
-        if an == 1 and bn == 2:
-            return bd @ g
-        if an == 2 and bn == 1:
-            return np.outer(g, bd)
-        return g * bd  # 1-D @ 1-D
-
-    def grad_b(g):
-        if an > 2:
-            return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        if an == 2 and bn == 2:
-            return ad.T @ g
-        if an == 1 and bn == 2:
-            return np.outer(ad, g)
-        if an == 2 and bn == 1:
-            return ad.T @ g
-        return g * ad
-
-    return _result("matmul", out, [a, b], [grad_a, grad_b])
+    a2 = ad.reshape(1, -1) if an == 1 else ad
+    b2 = bd.reshape(-1, 1) if bn == 1 else bd
+    sa, sb, out2 = ad.shape, bd.shape, a2.shape[:-1] + b2.shape[1:]
+    return _result("matmul", out, [a, b], [
+        lambda g: _lhs_grad(g.reshape(out2), b2).reshape(sa),
+        lambda g: _rhs_grad(a2, g.reshape(out2)).reshape(sb),
+    ])
 
 
 def matmul_blocks(parts, w) -> Tensor:
@@ -326,8 +333,8 @@ def matmul_blocks(parts, w) -> Tensor:
     rows: (1, sum P_i, n). Each block is multiplied by `w` alone, so its rows
     carry the bits of its own `matmul` (BLAS takes a one-row block through its
     matrix-vector path, whose bits differ inside a larger product). Each
-    block's gradient is its own product too; `w`'s is one product over all
-    the rows."""
+    block's gradient is its own `_lhs_grad`; `w`'s is one `_rhs_grad` over
+    all the rows, the rules `matmul` applies."""
     parts, w = [as_tensor(p) for p in parts], as_tensor(w)
     wd = w.data
     if not parts or wd.ndim != 2 or any(
@@ -341,13 +348,11 @@ def matmul_blocks(parts, w) -> Tensor:
 
     def make_vjp(i):
         lo, hi = offsets[i], offsets[i + 1]
-        return lambda g: g[:, lo:hi] @ wd.T
-
-    def grad_w(g):
-        return np.concatenate(datas, axis=1)[0].T @ g[0]
+        return lambda g: _lhs_grad(g[:, lo:hi], wd)
 
     return _result("matmul_blocks", out, parts + [w],
-                   [make_vjp(i) for i in range(len(parts))] + [grad_w])
+                   [make_vjp(i) for i in range(len(parts))]
+                   + [lambda g: _rhs_grad(np.concatenate(datas, axis=1), g)])
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -478,17 +483,19 @@ def log(a) -> Tensor:
     return _result("log", out, [a], [lambda g: g / data])
 
 
+def _flat_axis(data: np.ndarray, axis):
+    """`data` and `axis`, or, for axis None, `data` read flat and axis 0."""
+    return (data.reshape(-1), 0) if axis is None else (data, axis)
+
+
 def tsum(a, axis=None) -> Tensor:
+    """Sorted sum over `axis`, or over all entries when None."""
     a = as_tensor(a)
-    out = _stable_sum(a.data, axis=axis)
     shape = a.data.shape
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
-
-    return _result("tsum", out, [a], [vjp])
+    x, ax = _flat_axis(a.data, axis)
+    sx = x.shape
+    return _result("tsum", _stable_sum(x, ax), [a], [
+        lambda g: np.broadcast_to(np.expand_dims(g, ax), sx).reshape(shape).copy()])
 
 
 def tmean(a, axis=None) -> Tensor:
@@ -567,7 +574,7 @@ def logsumexp(a, axis=None) -> Tensor:
     gradient is `g / sum * exp(a - top)`."""
     a = as_tensor(a)
     shape = a.data.shape
-    x, ax = (a.data.reshape(-1), 0) if axis is None else (a.data, axis)
+    x, ax = _flat_axis(a.data, axis)
     top = x.max(axis=ax, keepdims=True)
     e = np.exp(x - top)
     s = _stable_sum(e, axis=ax, keepdims=True)

@@ -18,18 +18,12 @@ from .datasets import (GENERATORS, Corpus, export_dot, load_corpus,
                        save_corpus, split)
 from .generate import GenerationConfig, generate_batch
 from .graphs import GraphError
-from .likelihood import exact_marginal, expected_nll, is_marginal_likelihood
+from .likelihood import (EXACT_MAX_NODES, exact_marginal, expected_nll,
+                         is_marginal_likelihood)
 from .metrics import (cross_cluster_count, mmd_report, spectral_bipartition,
                       uniqueness_novelty)
 from .model import ModelBundle
 from .training import TrainingDiverged, fit
-
-
-# `agd nll --exact-max` ceiling, set by time: exact enumeration scores all n!
-# orderings, 5.5 s and 66 MB peak RSS for one 8-node community graph at the
-# default widths (one BLAS thread, 2-core x86 host), and n = 9 has nine times
-# as many orderings.
-EXACT_MAX_NODES = 8
 
 
 class CliError(RuntimeError):

@@ -33,7 +33,8 @@ training graphs and runs `_denoiser_phase` (one Adam step of the denoiser)
 per minibatch, then draws a permutation of the validation graphs and runs
 `_ordering_phase` (one REINFORCE step of the ordering network) per
 minibatch; `_checkpoint` saves the model every `eval_every` denoiser steps
-and at the end.
+and at the end. The end-of-run save is the only one at the last step, so
+each checkpoint name is written once, with the state it keeps.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _retained_candidates(weights: dict[int, float], sampled: int, top_k: int):
     else:
         threshold = weights[others[cutoff - 1]]
         kept = [sampled] + [v for v in others if weights[v] >= threshold]
-    total = sum(weights[v] for v in kept)
+    total = reduce(operator.add, (weights[v] for v in kept), 0.0)
     if total <= 0.0:
         return [(sampled, 1.0)]
     return [(v, weights[v] / total) for v in kept]
@@ -333,13 +334,12 @@ def _ordering_phase(model: ModelBundle, config: TrainConfig, state: TrainState,
 
 def _checkpoint(model: ModelBundle, state: TrainState, checkpoint_dir) -> None:
     """Save the model as `checkpoint_<steps>.ckpt` in `checkpoint_dir`, if
-    one is given, and list it in `state.checkpoints` once."""
+    one is given, and list it in `state.checkpoints`."""
     if checkpoint_dir is None:
         return
     path = f"{checkpoint_dir}/checkpoint_{state.steps:06d}.ckpt"
     model.save(path)
-    if path not in state.checkpoints:
-        state.checkpoints.append(path)
+    state.checkpoints.append(path)
 
 
 def _write_record(log, step: int, loss, reward) -> None:
@@ -360,6 +360,8 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
     model.adam_denoiser.lr = config.lr_denoiser
     model.adam_ordering.lr = config.lr_ordering
     report = TrainReport()
+    # the end-of-run save, after the last ordering phase, writes the last step's file
+    last_step = config.epochs * math.ceil(len(train_graphs) / config.batch_size)
     # records are written as they are made, so a diverged or killed run
     # keeps the log of every step it finished
     log = open(log_path, "w") if log_path is not None else None
@@ -371,7 +373,8 @@ def fit(train_graphs, val_graphs, model: ModelBundle, config: TrainConfig,
                 phase = f"denoiser step {state.steps + 1}"
                 epoch_losses.append(_denoiser_phase(model, config, state, batch))
                 _write_record(log, state.steps, epoch_losses[-1], None)
-                if config.eval_every and state.steps % config.eval_every == 0:
+                if (config.eval_every and state.steps % config.eval_every == 0
+                        and state.steps != last_step):
                     _checkpoint(model, state, checkpoint_dir)
             report.step_losses.extend(epoch_losses)
             epoch_rewards = []

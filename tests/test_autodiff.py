@@ -625,3 +625,112 @@ def test_backward_drops_each_spent_gradient():
         tracemalloc.stop()
     assert np.array_equal(grads["w"], np.ones(size))
     assert peak < 10 * size * 8
+
+
+def _per_rank_matmul_grads(a, b, g):
+    """The gradients of `a @ b` for the output gradient `g` by the per-rank
+    formulas `matmul`'s backward once had, one branch per rank pair: the
+    reference for its one rule."""
+    an, bn = a.ndim, b.ndim
+    if an >= 2 and bn == 2:
+        grad_a = g @ b.T
+    elif an == 1 and bn == 2:
+        grad_a = b @ g
+    elif an == 2 and bn == 1:
+        grad_a = np.outer(g, b)
+    else:
+        grad_a = g * b
+    if an > 2:
+        grad_b = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    elif an == 2 and bn == 2:
+        grad_b = a.T @ g
+    elif an == 1 and bn == 2:
+        grad_b = np.outer(a, g)
+    elif an == 2 and bn == 1:
+        grad_b = a.T @ g
+    else:
+        grad_b = g * a
+    return grad_a, grad_b
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((5,), (5,)), ((64,), (64,)),                       # 1-D @ 1-D
+    ((5,), (5, 3)), ((64,), (64, 128)),                 # 1-D @ 2-D
+    ((4, 5), (5,)), ((1, 5), (5,)),                     # 2-D @ 1-D
+    ((37, 16), (16,)), ((120, 64), (64,)),              # the GAT edge-table product
+    ((4, 5), (5, 3)), ((1, 64), (64, 128)), ((4, 1), (1, 3)),  # 2-D @ 2-D
+    ((3, 1, 5), (5, 4)), ((3, 1, 64), (64, 64)),        # a stack of one-row slices
+    ((3, 4, 5), (5, 4)), ((2, 3, 7, 64), (64, 32)),     # a stack of m > 1 rows
+])
+def test_matmul_gradients_equal_the_per_rank_formulas(shape_a, shape_b):
+    rng = np.random.default_rng(len(shape_a) * 100 + shape_a[-1])
+    for _ in range(5):
+        a = Parameter("a", rng.normal(size=shape_a))
+        b = Parameter("b", rng.normal(size=shape_b))
+        tape = Tape()
+        out = ad.matmul(tape.watch(a), tape.watch(b))
+        upstream = rng.normal(size=out.data.shape)
+        # the gradient reaching the product is exactly `upstream`
+        grads = tape.gradients(ad.tsum(ad.mul(out, upstream)))
+        grad_a, grad_b = _per_rank_matmul_grads(a.data, b.data, upstream)
+        assert np.array_equal(grads["a"], grad_a) and grads["a"].shape == shape_a
+        assert np.array_equal(grads["b"], grad_b) and grads["b"].shape == shape_b
+
+
+def test_matmul_blocks_gradients_equal_the_per_rank_formulas():
+    rng = np.random.default_rng(61)
+    parts = [Parameter(f"x{i}", rng.normal(size=(1, rows, 64)))
+             for i, rows in enumerate((3, 1, 7))]
+    w = Parameter("w", rng.normal(size=(64, 32)))
+    tape = Tape()
+    out = ad.matmul_blocks([tape.watch(p) for p in parts], tape.watch(w))
+    upstream = rng.normal(size=out.data.shape)
+    grads = tape.gradients(ad.tsum(ad.mul(out, upstream)))
+    lo = 0
+    for p in parts:
+        hi = lo + p.data.shape[1]
+        assert np.array_equal(grads[p.name], _per_rank_matmul_grads(
+            p.data, w.data, upstream[:, lo:hi])[0])
+        lo = hi
+    joined = np.concatenate([p.data for p in parts], axis=1)
+    assert np.array_equal(grads["w"], _per_rank_matmul_grads(joined, w.data, upstream)[1])
+
+
+@pytest.mark.parametrize("layout", ["row-major", "transposed"])
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (4, 3, 2)])
+def test_tsum_over_all_entries_is_the_flat_sum_along_axis_0(shape, layout):
+    data = np.random.default_rng(67).normal(size=shape)
+    if layout == "transposed":
+        data = data.T
+    results = []
+    for flat_first in (False, True):
+        x = Parameter("x", data)
+        tape = Tape()
+        xt = tape.watch(x)
+        total = ad.tsum(ad.reshape(xt, (-1,)), axis=0) if flat_first else ad.tsum(xt)
+        grad = tape.gradients(ad.mul(total, 3.7))["x"]
+        assert grad.flags.writeable
+        results.append((total.data, grad))
+    (value, grad), (flat_value, flat_grad) = results
+    assert value.shape == () and np.array_equal(value, flat_value)
+    assert np.array_equal(grad, flat_grad)
+
+
+@pytest.mark.parametrize("op", ["tsum", "tsum over an axis", "matmul by a constant",
+                                "matmul of a constant"])
+def test_backward_keeps_no_operand_its_gradient_does_not_read(op):
+    # The gradient of a sum reads no operand, and the gradient of x in
+    # x @ c (or c @ x) reads c alone, so once the tape holds the only
+    # references, x's data is freed.
+    tape = Tape()
+    x = ad.add(tape.watch(Parameter("w", np.ones((3, 4)))), 1.0)
+    data = weakref.ref(x.data)
+    if op.startswith("tsum"):
+        out = ad.tsum(x, axis=None if op == "tsum" else 1)
+    elif op == "matmul by a constant":
+        out = ad.matmul(x, np.ones(4))
+    else:
+        out = ad.matmul(np.ones(3), x)
+    del x
+    assert data() is None
+    assert out.tape is tape

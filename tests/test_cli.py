@@ -333,6 +333,14 @@ class TestNll:
         assert [r["n"] for r in records] == [2, 3]
         assert all("exact_nll" in r for r in records)
 
+    def test_exact_max_cap_is_the_enumeration_ceiling(self):
+        import inspect
+
+        import agd.cli as cli
+        import agd.likelihood as likelihood
+        default = inspect.signature(likelihood.exact_marginal).parameters["limit"].default
+        assert cli.EXACT_MAX_NODES == likelihood.EXACT_MAX_NODES == default == 8
+
     def test_no_graphs_write_nothing(self, tmp_path, tiny_checkpoint, capsys):
         corpus, out = tmp_path / "empty.jsonl", tmp_path / "nll.jsonl"
         corpus.write_text("")

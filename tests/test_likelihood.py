@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import math
 
@@ -8,7 +9,8 @@ import agd.likelihood as likelihood
 import agd.training as training
 from agd.autodiff import Tape
 from agd.denoiser import STACK_PAIR_BUDGET, DenoiserConfig, DenoiserNet
-from agd.graphs import DenoisingView, denoising_view, forward_trajectory, new_graph
+from agd.graphs import (DenoisingView, GraphError, denoising_view, forward_trajectory,
+                        new_graph)
 from agd.likelihood import (NllEstimate, exact_marginal, expected_nll,
                             is_marginal_likelihood, ordering_kl_diagnostic,
                             trajectory_nll)
@@ -429,3 +431,34 @@ class TestOrderingKlDiagnosticSampler:
         monkeypatch.setattr(DenoiserNet, "_trunk", counted)
         ordering_kl_diagnostic(model, g, 25, np.random.default_rng(5))
         assert len(trunks) == g.n
+
+
+def test_default_limit_is_the_exact_enumeration_ceiling():
+    g = new_graph([0] * (likelihood.EXACT_MAX_NODES + 1), [], 1, 2)
+    assert likelihood.EXACT_MAX_NODES == 8
+    with pytest.raises(GraphError, match=r"limited to n <= 8$"):
+        exact_marginal(tiny_model(), g)
+
+
+def test_float_sums_are_left_folds(monkeypatch):
+    """From Python 3.12 on, `sum` over floats is compensated, so every float
+    total folds with `operator.add` from 0.0: the exact marginal's
+    log-sum-exp, the ordering diagnostic's total and the soft-label
+    renormalizer (top-k 3 keeps several candidates)."""
+    model = tiny_model(num_node_types=2, num_edge_types=2, seed=3)
+    g = new_graph([0, 1, 0, 1], [(0, 1, 1), (1, 2, 1), (2, 3, 1)], 2, 2)
+    trajectory = model.ordering.sample_ordering(g, np.random.default_rng(1))
+    builtin_sum = builtins.sum
+
+    def sum_without_floats(items, start=0):
+        items = list(items)
+        if any(isinstance(item, float) for item in items):
+            raise AssertionError("builtin sum over floats")
+        return builtin_sum(items, start)
+
+    monkeypatch.setattr(builtins, "sum", sum_without_floats)
+    exact_marginal(model, g)
+    ordering_kl_diagnostic(model, g, 2, np.random.default_rng(2), trajectory)
+    # more terms than timesteps: some step renormalizes over several candidates
+    assert len(list(training.loss_terms(trajectory, range(1, g.n + 1), top_k=3))) > g.n
+    denoiser_loss(g, trajectory, range(1, g.n + 1), model.denoiser, 3)

@@ -803,3 +803,55 @@ def test_model_init_has_the_train_config_learning_rates():
     model, cfg = tiny_model(), TrainConfig(epochs=0)
     assert model.adam_denoiser.lr == cfg.lr_denoiser
     assert model.adam_ordering.lr == cfg.lr_ordering
+
+
+class TestCheckpointNames:
+    """When `eval_every` divides the last denoiser step, only the end-of-run
+    save writes that step's checkpoint, after the last ordering phase."""
+
+    @staticmethod
+    def _config(eval_every):
+        # one batch per epoch, so the run's last denoiser step is 2
+        return TrainConfig(epochs=2, batch_size=4, trajectories=1, timesteps=2,
+                           eval_every=eval_every, seed=9)
+
+    def test_each_name_is_written_once_with_the_state_it_keeps(self, tmp_path, monkeypatch):
+        g = triangle()
+        cfg = self._config(eval_every=1)
+        # references: the state after the first denoiser step, driven by
+        # hand, and the end state of a run that saves only at its end
+        model = tiny_model(seed=33)
+        state = training.TrainState(np.random.default_rng(cfg.seed))
+        for batch in training._minibatches([g] * 4, state.rng.permutation(4), cfg.batch_size):
+            training._denoiser_phase(model, cfg, state, batch)
+        (tmp_path / "hand").mkdir()
+        training._checkpoint(model, state, str(tmp_path / "hand"))
+        (tmp_path / "end").mkdir()
+        fit([g] * 4, [g], tiny_model(seed=33), self._config(eval_every=0),
+            checkpoint_dir=str(tmp_path / "end"))
+
+        saves, states = [], []
+        save, checkpoint = ModelBundle.save, training._checkpoint
+
+        def recorded_save(bundle, path):
+            saves.append(os.path.basename(path))
+            return save(bundle, path)
+
+        def recorded_checkpoint(model, state, checkpoint_dir):
+            states.append(state)
+            return checkpoint(model, state, checkpoint_dir)
+
+        monkeypatch.setattr(ModelBundle, "save", recorded_save)
+        monkeypatch.setattr(training, "_checkpoint", recorded_checkpoint)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        _, report = fit([g] * 4, [g], tiny_model(seed=33), cfg, checkpoint_dir=str(run_dir))
+        names = ["checkpoint_000001.ckpt", "checkpoint_000002.ckpt"]
+        assert saves == names
+        assert states[-1].checkpoints == [str(run_dir / name) for name in names]
+        assert report.selected_checkpoint == str(run_dir / names[1])
+        assert sorted(os.listdir(run_dir)) == names
+        assert ((run_dir / names[0]).read_bytes()
+                == (tmp_path / "hand" / names[0]).read_bytes())
+        assert ((run_dir / names[1]).read_bytes()
+                == (tmp_path / "end" / names[1]).read_bytes())
