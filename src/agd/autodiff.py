@@ -284,9 +284,10 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     out = ad * bd
+    sa, sb = ad.shape, bd.shape
     return _result("mul", out, [a, b], [
-        lambda g: _unbroadcast(g * bd, ad.shape),
-        lambda g: _unbroadcast(g * ad, bd.shape),
+        lambda g: _unbroadcast(g * bd, sa),
+        lambda g: _unbroadcast(g * ad, sb),
     ])
 
 

@@ -8,12 +8,15 @@ the distribution is conditioned on the absorption prefix.
 Like the denoiser, the network runs one forward over a stack of B prefixes of
 one graph, laid out (B, n, ...); one prefix is a stack of one. Products run
 slice by slice and every sort, sum and softmax stays within a slice, so each
-slice has the bits of its prefix scored alone, and `ordering_log_prob` scores
-its n prefixes in one forward.
+slice has the bits of its prefix scored alone. `ordering_log_prob` scores
+its n prefixes in one forward, and `sample_orderings`, given one generator
+per ordering, moves the orderings forward together and scores each step's
+new prefixes in one forward.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -37,6 +40,15 @@ def positional_encoding(position: int, dim: int) -> np.ndarray:
         out[2 * i] = math.sin(freq)
         out[2 * i + 1] = math.cos(freq)
     return out
+
+
+@functools.cache
+def _pe_row(position: int, dim: int) -> np.ndarray:
+    """`positional_encoding(position, dim)`, built once and kept read-only:
+    every ordering forward reads it."""
+    row = positional_encoding(position, dim)
+    row.flags.writeable = False
+    return row
 
 
 @dataclass
@@ -131,7 +143,7 @@ class OrderingNet(ad.Network):
         for row, prefix in zip(position, prefixes):
             row[list(prefix)] = np.arange(1, len(prefix) + 1)
         table = ad.stack([self._get(tape, "pe_unabsorbed")]
-                         + [Tensor(positional_encoding(p, c.pe_dim))
+                         + [Tensor(_pe_row(p, c.pe_dim))
                             for p in range(1, position.max(initial=0) + 1)])
         emb = ad.rows(self._get(tape, "embed"), np.tile(graph.node_types, (b, 1)))
         x = ad.concat([emb, ad.rows(table, position)], axis=2)
@@ -157,14 +169,6 @@ class OrderingNet(ad.Network):
         sel = ad.take(scores, unabsorbed)
         return ad.sub(sel, ad.logsumexp(sel))
 
-    def step_log_probs(self, graph: LabeledGraph, prefix,
-                       weights=None) -> tuple[list[int], Tensor]:
-        """The unabsorbed nodes (ascending) after `prefix`, and the log
-        probability of each being absorbed next."""
-        unabsorbed = sorted(set(range(graph.n)).difference(prefix))
-        scores = self.node_scores(graph, prefix, weights=weights)
-        return unabsorbed, self._step_log_probs(scores, unabsorbed)
-
     # -- public operations ----------------------------------------------------
 
     def step_distribution(self, graph: LabeledGraph, prefix) -> np.ndarray:
@@ -174,7 +178,8 @@ class OrderingNet(ad.Network):
             raise GraphError("prefix must contain distinct in-range node ids")
         if len(prefix) == graph.n:
             raise GraphError("all nodes are already absorbed")
-        unabsorbed, logp = self.step_log_probs(graph, prefix)
+        unabsorbed = sorted(set(range(graph.n)).difference(prefix))
+        logp = self._step_log_probs(self.node_scores(graph, prefix), unabsorbed)
         out = np.zeros(graph.n)
         out[unabsorbed] = np.exp(logp.data)
         return out
@@ -184,34 +189,60 @@ class OrderingNet(ad.Network):
         """Draw a full absorption ordering; records per-step log q and weights."""
         return self.sample_orderings(graph, rng, 1)[0]
 
-    def sample_orderings(self, graph: LabeledGraph, rng: np.random.Generator,
-                         count: int) -> list[DiffusionTrajectory]:
-        """Draw `count` full absorption orderings in turn, each recording its
-        per-step log q and weights. Each prefix's step distribution is
-        computed once per call, however many draws reach it, and its weights
-        dict is shared by the trajectories that pass through that prefix."""
+    def sample_orderings(self, graph: LabeledGraph, rng,
+                         count: int | None = None) -> list[DiffusionTrajectory]:
+        """Draw full absorption orderings, each recording its per-step log q
+        and weights.
+
+        `rng` is one generator, from which `count` orderings are drawn in
+        turn, or a sequence of generators, one per ordering and no `count`.
+        A sequence is drawn in lockstep: each step scores the distinct
+        prefixes its orderings reach in one stacked forward, and each
+        ordering draws from its own generator. The result equals one
+        `sample_ordering` call per generator, with each generator left where
+        its own call leaves it. Either way, each prefix's step distribution
+        is computed once per call, however many draws reach it, and its
+        weights dict is shared by the trajectories that pass through that
+        prefix."""
+        if (count is None) == isinstance(rng, np.random.Generator):
+            raise ValueError("give a count with one generator, and only then")
         weights = self.layer_weights()
         steps: dict[tuple, tuple] = {}
-        trajectories = []
-        for _ in range(count):
-            prefix: tuple = ()
-            step_log_probs: list[float] = []
-            step_weights: list[dict[int, float]] = []
-            for _ in range(graph.n):
-                step = steps.get(prefix)
-                if step is None:
-                    remaining, logp = self.step_log_probs(graph, prefix, weights=weights)
-                    probs = np.exp(logp.data)
-                    step = steps[prefix] = (remaining, probs, logp.data,
-                                            {v: float(p) for v, p in zip(remaining, probs)})
-                remaining, probs, logp, step_weight = step
-                step_weights.append(step_weight)
+        if count is None:
+            return self._draw_in_lockstep(graph, list(rng), weights, steps)
+        return [trajectory for _ in range(count)
+                for trajectory in self._draw_in_lockstep(graph, [rng], weights, steps)]
+
+    def _draw_in_lockstep(self, graph: LabeledGraph, rngs, weights,
+                          steps: dict) -> list[DiffusionTrajectory]:
+        """One ordering per generator, all moved forward a step at a time.
+        `steps` maps a prefix to its step distribution; the prefixes a step
+        reaches that it lacks are scored in one forward, through
+        `node_scores` when there is one, and each stacked slice is read over
+        the flat ids b * n + u."""
+        n = graph.n
+        prefixes: list[tuple] = [()] * len(rngs)
+        step_log_probs: list[list[float]] = [[] for _ in rngs]
+        step_weights: list[list[dict[int, float]]] = [[] for _ in rngs]
+        for _ in range(n):
+            new = list(dict.fromkeys(p for p in prefixes if p not in steps))
+            if new:
+                scores = (self.node_scores(graph, new[0], weights=weights) if len(new) == 1
+                          else self._stack_node_scores(graph, new, weights=weights))
+            for b, prefix in enumerate(new):
+                remaining = sorted(set(range(n)).difference(prefix))
+                logp = self._step_log_probs(scores, [b * n + u for u in remaining]).data
+                probs = np.exp(logp)
+                steps[prefix] = (remaining, probs, logp,
+                                 {v: float(p) for v, p in zip(remaining, probs)})
+            for k, rng in enumerate(rngs):
+                remaining, probs, logp, step_weight = steps[prefixes[k]]
+                step_weights[k].append(step_weight)
                 idx = int(rng.choice(len(remaining), p=probs / probs.sum()))
-                prefix += (remaining[idx],)
-                step_log_probs.append(float(logp[idx]))
-            trajectories.append(forward_trajectory(graph, prefix, tuple(step_log_probs),
-                                                   tuple(step_weights)))
-        return trajectories
+                prefixes[k] += (remaining[idx],)
+                step_log_probs[k].append(float(logp[idx]))
+        return [forward_trajectory(graph, prefix, tuple(logps), tuple(ws))
+                for prefix, logps, ws in zip(prefixes, step_log_probs, step_weights)]
 
     def ordering_log_prob(self, graph: LabeledGraph, ordering,
                           tape: Tape | None = None) -> Tensor:

@@ -35,10 +35,17 @@ per minibatch, then draws a permutation of the validation graphs and runs
 minibatch; `_checkpoint` saves the model every `eval_every` denoiser steps
 and at the end. The end-of-run save is the only one at the last step, so
 each checkpoint name is written once, with the state it keeps.
+
+Both phases take their trajectories from `_draws`, which draws a graph's M
+orderings in lockstep, one stacked ordering forward per step, each from a
+copy of the generator where its trajectory starts. The stream is still that
+of drawing each trajectory and then its timesteps in turn, bit for bit; the
+likelihood estimators draw their orderings in turn.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import operator
@@ -284,12 +291,26 @@ class TrainState:
 
 def _draws(model: ModelBundle, config: TrainConfig, state: TrainState, batch):
     """(graph, trajectory, timesteps) for M trajectories per graph of the
-    batch; the caller's work between draws consumes no rng."""
+    batch, with the stream of drawing each trajectory and then its timesteps
+    in turn; the caller's work between draws consumes no rng.
+
+    A learned ordering takes n uniforms from the stream, one per step, so a
+    graph's M orderings are drawn in lockstep, each from a copy of
+    `state.rng` where its trajectory starts, while `state.rng` skips past
+    them and draws the timesteps."""
     for graph in batch:
+        if config.uniform_ordering:
+            for _ in range(config.trajectories):
+                traj = uniform_trajectory(graph, state.rng)
+                yield graph, traj, _sample_timesteps(graph.n, config.timesteps, state.rng)
+            continue
+        starts, timesteps = [], []
         for _ in range(config.trajectories):
-            traj = (uniform_trajectory(graph, state.rng) if config.uniform_ordering
-                    else model.ordering.sample_ordering(graph, state.rng))
-            yield graph, traj, _sample_timesteps(graph.n, config.timesteps, state.rng)
+            starts.append(copy.deepcopy(state.rng))
+            state.rng.random(graph.n)
+            timesteps.append(_sample_timesteps(graph.n, config.timesteps, state.rng))
+        for traj, ts in zip(model.ordering.sample_orderings(graph, starts), timesteps):
+            yield graph, traj, ts
 
 
 def _denoiser_phase(model: ModelBundle, config: TrainConfig, state: TrainState, batch) -> float:

@@ -734,3 +734,18 @@ def test_backward_keeps_no_operand_its_gradient_does_not_read(op):
     del x
     assert data() is None
     assert out.tape is tape
+
+
+@pytest.mark.parametrize("constant_first", [False, True])
+def test_mul_by_a_constant_frees_its_tracked_operand(constant_first):
+    # The gradient of x in x * c (or c * x) reads c and x's shape alone, so
+    # once the tape holds the only references, x's data is freed.
+    tape = Tape()
+    x = ad.add(tape.watch(Parameter("w", np.ones((3, 4)))), 1.0)
+    data = weakref.ref(x.data)
+    c = np.full(4, 2.0)
+    out = ad.mul(c, x) if constant_first else ad.mul(x, c)
+    del x
+    assert data() is None
+    assert out.tape is tape
+    assert np.array_equal(tape.gradients(ad.tsum(out))["w"], np.full((3, 4), 2.0))

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -235,6 +236,44 @@ class TestSampleOrderings:
         reached = {t.ordering[:k] for t in drawn for k in range(g.n)}
         assert len({t.ordering for t in drawn}) > 1
         assert sorted(prefixes) == sorted(reached)
+
+    def test_generator_sequence_equals_one_call_per_generator(self, monkeypatch):
+        # Two generators share a seed, so their orderings share every prefix.
+        net = tiny_net(seed=6)
+        g = new_graph([0, 1, 0, 1, 1, 0], [(0, 1, 1), (1, 2, 1), (2, 3, 2), (3, 4, 1),
+                                           (1, 5, 2)], num_edge_types=3)
+        rngs = [np.random.default_rng(s) for s in (3, 3, 4, 5, 6)]
+        own = copy.deepcopy(rngs)
+        stacks = []
+        original = OrderingNet._stack_node_scores
+
+        def counted(self, graph, prefixes, *args, **kwargs):
+            stacks.append([tuple(p) for p in prefixes])
+            return original(self, graph, prefixes, *args, **kwargs)
+
+        monkeypatch.setattr(OrderingNet, "_stack_node_scores", counted)
+        drawn = net.sample_orderings(g, rngs)
+        scored = [p for stack in stacks for p in stack]
+        monkeypatch.undo()
+        assert len({t.ordering for t in drawn}) > 2
+        assert drawn[0].ordering == drawn[1].ordering
+        # one forward per step, each reached prefix scored once
+        assert len(stacks) == g.n and max(map(len, stacks)) > 1
+        assert sorted(scored) == sorted({t.ordering[:k] for t in drawn for k in range(g.n)})
+        for traj, rng, alone_rng in zip(drawn, rngs, own, strict=True):
+            alone = net.sample_ordering(g, alone_rng)
+            assert traj.ordering == alone.ordering
+            assert traj.step_log_probs == alone.step_log_probs
+            assert traj.step_weights == alone.step_weights
+            assert rng.bit_generator.state == alone_rng.bit_generator.state
+
+    def test_count_goes_with_one_generator_only(self):
+        net = tiny_net()
+        g = star(2)
+        with pytest.raises(ValueError, match="count"):
+            net.sample_orderings(g, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="count"):
+            net.sample_orderings(g, [np.random.default_rng(0)], 1)
 
 
 class TestOrderingLogProb:

@@ -615,6 +615,54 @@ class TestPhaseFunctions:
                 == (tmp_path / "fit" / names[0][0]).read_bytes())
 
 
+class TestDrawStream:
+    """`_draws` takes a graph's orderings in lockstep on generator copies,
+    and gives what drawing each trajectory and then its timesteps in turn
+    from one generator gives, leaving that generator where the turn-by-turn
+    loop leaves it."""
+
+    @staticmethod
+    def _draws_in_turn(model, config, rng, batch):
+        for graph in batch:
+            for _ in range(config.trajectories):
+                traj = model.ordering.sample_ordering(graph, rng)
+                yield graph, traj, training._sample_timesteps(graph.n, config.timesteps, rng)
+
+    @pytest.mark.parametrize("trajectories", [1, 4])
+    @pytest.mark.parametrize("graph", ["pair", "typed 7"])
+    def test_equals_drawing_in_turn(self, graph, trajectories):
+        g = (new_graph([0, 1], [(0, 1, 2)], 2, 3) if graph == "pair" else
+             new_graph([0, 1, 1, 0, 1, 0, 0],
+                       [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 2), (4, 5, 1), (1, 5, 1),
+                        (5, 6, 2)], 2, 3))
+        model = _typed_model()
+        cfg = TrainConfig(epochs=1, trajectories=trajectories, timesteps=3)
+        state = training.TrainState(np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        drawn = list(training._draws(model, cfg, state, [g, g]))
+        want = list(self._draws_in_turn(model, cfg, rng, [g, g]))
+        assert len(drawn) == len(want) == 2 * trajectories
+        for (_, traj, ts), (_, want_traj, want_ts) in zip(drawn, want):
+            assert traj.ordering == want_traj.ordering
+            assert traj.step_log_probs == want_traj.step_log_probs
+            assert traj.step_weights == want_traj.step_weights
+            assert ts == want_ts
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_each_choice_draws_one_uniform(self, k):
+        # `_draws` skips an ordering's draws with `rng.random(n)`: n calls of
+        # `rng.choice(k, p=p)` advance a generator exactly as that does.
+        p = np.random.default_rng(k).random(k)
+        p /= p.sum()
+        for n in (1, 6):
+            chosen, skipped = np.random.default_rng(30 + k), np.random.default_rng(30 + k)
+            for _ in range(n):
+                chosen.choice(k, p=p)
+            skipped.random(n)
+            assert chosen.bit_generator.state == skipped.bit_generator.state
+
+
 def _taped_step_terms(graph, traj, top_k):
     """A trajectory's loss views over every timestep (so its 1-node and
     2-node views too) and their labels."""
