@@ -18,6 +18,21 @@ arithmetic of its composed chain (`sub`, `exp`, `tsum`, `log`, `add`) in the
 same order. `tsum` and `logsumexp` over all entries read their operand flat
 along axis 0, so each has one code path.
 
+A fused op records a composed chain (`mlp2`, `log_softmax`, `gru_cell`,
+`gated_messages`, `attention_round`) as one entry through `_fused`. Its value
+and each input's gradient repeat the chain's arithmetic in the order the
+chain's backward sweep did it, bit for bit. Every intermediate the chain
+checked for finiteness is checked under the same op name, the output under
+the fused op's name; a reshape's values are its input's, so it is not
+checked twice. Its backward holds no more than the chain's closures did.
+
+The sweep adds a node's gradient contributions in reverse order of when its
+consumers were made, and a fused op hands back one contribution per input,
+the chain's inner ones already added. So an input that the chain read more
+than once must have no consumer made after the op. `DenoiserNet` therefore
+gathers a GRU round's `h` outside the op, and makes the GAT round's
+per-token edge products, two reads of `edge_embed`, outside it too.
+
 `matmul` has one backward rule at every operand rank: a 1-D `a` is read as
 one row and a 1-D `b` as one column, as numpy reads them, and the gradients
 of those 2-D views are two products, `_lhs_grad` and `_rhs_grad`, that
@@ -87,8 +102,11 @@ def _stable_sum(data: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarr
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back to the shape of a broadcast operand."""
+    """Reduce a gradient back to the shape of a broadcast operand; a gradient
+    of that shape already is returned as it is."""
     grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for ax, size in enumerate(shape):
@@ -220,20 +238,7 @@ class Network:
 
 
 def as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def _common_tape(*tensors) -> Tape | None:
-    tape = None
-    for t in tensors:
-        if isinstance(t, Tensor) and t.tape is not None:
-            if tape is None:
-                tape = t.tape
-            elif tape is not t.tape:
-                raise ValueError("operands belong to different tapes")
-    return tape
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _result(op: str, data, inputs: list[Tensor], vjps: list) -> Tensor:
@@ -244,11 +249,41 @@ def _result(op: str, data, inputs: list[Tensor], vjps: list) -> Tensor:
     entry is the (node id, vjp) pairs of the tracked inputs, in input order.
     """
     data = _check_finite(np.asarray(data, dtype=np.float64), op)
-    tape = _common_tape(*inputs)
+    tape, entry = None, []
+    for t, vjp in zip(inputs, vjps):
+        if t.tape is not None:
+            if tape is None:
+                tape = t.tape
+            elif t.tape is not tape:
+                raise ValueError("operands belong to different tapes")
+            entry.append((t.nid, vjp))
     if tape is None:
         return Tensor(data)
-    return Tensor(data, tape, tape._add([(t.nid, v) for t, v in zip(inputs, vjps)
-                                         if t.tape is not None]))
+    return Tensor(data, tape, tape._add(entry))
+
+
+def _fused(op: str, out, inputs: list[Tensor], backward) -> Tensor:
+    """Record a composed chain as the one op named `op`. `backward(g)`
+    returns every input's gradient for the output gradient `g`; it runs
+    once per output gradient, and each input's vjp reads its own entry. An
+    entry is let go once read, so no gradient outlives the sweep's visit."""
+    tracked = [i for i, t in enumerate(inputs) if t.tape is not None]
+    held_g, held = None, {}
+
+    def make_vjp(i):
+        def vjp(g):
+            nonlocal held_g, held
+            if held_g is not g or i not in held:
+                grads = backward(g)
+                held_g, held = g, {j: grads[j] for j in tracked}
+            grad = held.pop(i)
+            if not held:
+                held_g = None
+            return grad
+
+        return vjp
+
+    return _result(op, out, inputs, [make_vjp(i) for i in range(len(inputs))])
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +338,9 @@ def _rhs_grad(a, g):
     return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product of 1-D or 2-D operands, or of a stack of matrices
-    (B, ..., m, k) with one (k, n) matrix. numpy multiplies a stack slice by
-    slice, so each slice of the result has the bits of its own product.
-
-    The backward is one rule at every rank: as numpy does, a 1-D `a` is read
-    as one row and a 1-D `b` as one column, and the gradients of those 2-D
-    views are `_lhs_grad` and `_rhs_grad`, which `matmul_blocks` shares."""
-    a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
+def _product(ad: np.ndarray, bd: np.ndarray):
+    """`ad @ bd` for the operands `matmul` takes, and the two functions from
+    the output gradient to the gradients of `ad` and of `bd`."""
     an, bn = ad.ndim, bd.ndim
     if an == 0 or bn not in (1, 2) or (an > 2 and bn != 2):
         raise ShapeError("matmul requires 1-D or 2-D operands, or a stack and a matrix")
@@ -323,10 +351,21 @@ def matmul(a, b) -> Tensor:
     a2 = ad.reshape(1, -1) if an == 1 else ad
     b2 = bd.reshape(-1, 1) if bn == 1 else bd
     sa, sb, out2 = ad.shape, bd.shape, a2.shape[:-1] + b2.shape[1:]
-    return _result("matmul", out, [a, b], [
-        lambda g: _lhs_grad(g.reshape(out2), b2).reshape(sa),
-        lambda g: _rhs_grad(a2, g.reshape(out2)).reshape(sb),
-    ])
+    return (out, lambda g: _lhs_grad(g.reshape(out2), b2).reshape(sa),
+            lambda g: _rhs_grad(a2, g.reshape(out2)).reshape(sb))
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product of 1-D or 2-D operands, or of a stack of matrices
+    (B, ..., m, k) with one (k, n) matrix. numpy multiplies a stack slice by
+    slice, so each slice of the result has the bits of its own product.
+
+    The backward is one rule at every rank: as numpy does, a 1-D `a` is read
+    as one row and a 1-D `b` as one column, and the gradients of those 2-D
+    views are `_lhs_grad` and `_rhs_grad`, which `matmul_blocks` shares."""
+    a, b = as_tensor(a), as_tensor(b)
+    out, grad_a, grad_b = _product(a.data, b.data)
+    return _result("matmul", out, [a, b], [grad_a, grad_b])
 
 
 def matmul_blocks(parts, w) -> Tensor:
@@ -454,9 +493,13 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     return _result("leaky_relu", a.data * scale, [a], [lambda g: g * scale])
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    out = _sigmoid(a.data)
     return _result("sigmoid", out, [a], [lambda g: g * out * (1.0 - out)])
 
 
@@ -515,25 +558,31 @@ def masked_softmax(a, mask, axis: int = -1) -> Tensor:
     and gradient exactly 0. Every slice along `axis` needs an unmasked entry.
     """
     a = as_tensor(a)
-    if a.data.size == 0:
+    out = _masked_softmax(a.data, mask, axis)
+    return _result("masked_softmax", out, [a], [lambda g: _softmax_grad(g, out, axis)])
+
+
+def _masked_softmax(x: np.ndarray, mask, axis: int) -> np.ndarray:
+    """The value of `masked_softmax`."""
+    if x.size == 0:
         raise ShapeError("masked softmax of an empty tensor")
     try:
-        keep = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
+        keep = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
     except ValueError:
-        raise ShapeError(f"mask {np.shape(mask)} does not broadcast to "
-                         f"{a.data.shape}") from None
+        raise ShapeError(f"mask {np.shape(mask)} does not broadcast to {x.shape}") from None
     if not keep.any(axis=axis).all():
         raise ShapeError("masked softmax over a fully masked slice")
     # The smallest entry is a finite floor for the masked max: no -inf anywhere.
-    top = np.max(a.data, axis=axis, keepdims=True, where=keep, initial=a.data.min())
-    e = np.where(keep, np.exp(np.where(keep, a.data - top, 0.0)), 0.0)
-    out = e / _stable_sum(e, axis=axis, keepdims=True)
+    top = np.max(x, axis=axis, keepdims=True, where=keep, initial=x.min())
+    e = np.where(keep, np.exp(np.where(keep, x - top, 0.0)), 0.0)
+    return e / _stable_sum(e, axis=axis, keepdims=True)
 
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return out * (g - inner)
 
-    return _result("masked_softmax", out, [a], [vjp])
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient of a softmax's input, from its output `out` and the
+    output gradient `g`."""
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - inner)
 
 
 def einsum(spec: str, a, b) -> Tensor:
@@ -568,6 +617,14 @@ def einsum(spec: str, a, b) -> Tensor:
     ])
 
 
+def _exp_sum(x: np.ndarray, ax: int):
+    """The parts of a stabilized log-sum-exp over `ax`: the max, the shifted
+    exponentials and their sorted sum, all with `ax` kept."""
+    top = x.max(axis=ax, keepdims=True)
+    e = np.exp(x - top)
+    return top, e, _stable_sum(e, axis=ax, keepdims=True)
+
+
 def logsumexp(a, axis=None) -> Tensor:
     """Stabilized log-sum-exp over `axis`, or over all entries when None, as
     one op. Value and gradient have the bits of the composed chain
@@ -576,27 +633,255 @@ def logsumexp(a, axis=None) -> Tensor:
     a = as_tensor(a)
     shape = a.data.shape
     x, ax = _flat_axis(a.data, axis)
-    top = x.max(axis=ax, keepdims=True)
-    e = np.exp(x - top)
-    s = _stable_sum(e, axis=ax, keepdims=True)
+    top, e, s = _exp_sum(x, ax)
     return _result("logsumexp", np.squeeze(np.log(s) + top, axis=ax), [a],
                    [lambda g: (np.expand_dims(g, ax) / s * e).reshape(shape)])
 
 
+# ---------------------------------------------------------------------------
+# fused chains: one op each, with the values, the gradients and the checks
+# of the composed ops they replace (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def log_softmax(a) -> Tensor:
+    """Log-probabilities over the last axis, as one op: the composed
+    `sub(a, reshape(logsumexp(a, axis=-1), shape[:-1] + (1,)))`."""
+    a = as_tensor(a)
+    x = a.data
+    if x.ndim == 0:
+        raise ShapeError("log_softmax needs at least one axis")
+    top, e, s = _exp_sum(x, x.ndim - 1)
+    lse = _check_finite(np.log(s) + top, "logsumexp")
+
+    def backward(g):
+        g_lse = _unbroadcast(-g, s.shape)       # lse has the shape of s
+        return [g + g_lse / s * e]
+
+    return _fused("log_softmax", x - lse, [a], backward)
+
+
+def _mlp2(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+          b2: np.ndarray):
+    """`relu(x @ w1 + b1) @ w2 + b2` on arrays, each intermediate checked
+    under its op's name, and the function from the output gradient to the
+    gradients of (x, w1, b1, w2, b2). The output is left to the caller to
+    check."""
+    first, grad_x, grad_w1 = _product(x, w1)
+    _check_finite(first, "matmul")
+    pre = _check_finite(first + b1, "add")
+    mask = pre > 0
+    hidden = _check_finite(np.where(mask, pre, 0.0), "relu")
+    second, grad_hidden, grad_w2 = _product(hidden, w2)
+    _check_finite(second, "matmul")
+    s1, s2, sb1, sb2 = first.shape, second.shape, np.shape(b1), np.shape(b2)
+
+    def backward(g):
+        g2 = _unbroadcast(g, s2)
+        g_pre = grad_hidden(g2) * mask
+        g1 = _unbroadcast(g_pre, s1)
+        return [grad_x(g1), grad_w1(g1), _unbroadcast(g_pre, sb1), grad_w2(g2),
+                _unbroadcast(g, sb2)]
+
+    return second + b2, backward
+
+
+def mlp2(x, w1, b1, w2, b2) -> Tensor:
+    """`relu(x @ w1 + b1) @ w2 + b2`, as one op: the composed
+    `add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)`."""
+    inputs = [as_tensor(t) for t in (x, w1, b1, w2, b2)]
+    out, backward = _mlp2(*(t.data for t in inputs))
+    return _fused("mlp2", out, inputs, backward)
+
+
+MESSAGE_PARAMS = ("f1", "f1b", "f2", "f2b", "g1", "g1b", "g2", "g2b")
+
+
+def gated_messages(h_src, h_dst, edges, mask, params: dict) -> Tensor:
+    """The gated-GRU messages of B views of m nodes, summed per node, as one
+    op: (B, m, d).
+
+    Pair (a, b) of view v is row a * m + b of the (B, m*m, d) `h_src` (a's
+    state), `h_dst` (b's state) and `edges` (the pair's edge embedding).
+    With `x` their concatenation, its message is
+    `sigmoid(mlp_g(x)) * mask[v, a, b] * mlp_f(x)`, so a pair outside the
+    boolean (B, m, m) `mask` adds an exact zero; node a's messages are
+    summed over b in sorted order. `params` maps f1, f1b, f2, f2b (mlp_f)
+    and g1, g1b, g2, g2b (mlp_g) to tensors. It is the composed `concat`,
+    two `mlp2`, `sigmoid`, `mul`, `mul`, `reshape` and `tsum`."""
+    parts = [as_tensor(t) for t in (h_src, h_dst, edges)]
+    ps = [as_tensor(params[k]) for k in MESSAGE_PARAMS]
+    mask = np.asarray(mask, dtype=bool)
+    B, m = mask.shape[0], mask.shape[1]
+    keep = mask.reshape(B, m * m, 1).astype(np.float64)
+    x = _check_finite(np.concatenate([t.data for t in parts], axis=2), "concat")
+    msg, msg_backward = _mlp2(x, *(p.data for p in ps[:4]))
+    _check_finite(msg, "add")
+    logits, gate_backward = _mlp2(x, *(p.data for p in ps[4:]))
+    _check_finite(logits, "add")
+    gate = _check_finite(_sigmoid(logits), "sigmoid")
+    kept = _check_finite(gate * keep, "mul")
+    gated = _check_finite(kept * msg, "mul")
+    d = msg.shape[2]
+    offsets = np.cumsum([0] + [t.data.shape[2] for t in parts])
+
+    def backward(g):
+        g_gated = np.broadcast_to(np.expand_dims(g, 2), (B, m, m, d)).reshape(B, m * m, d)
+        g_kept = _unbroadcast(g_gated * msg, kept.shape)
+        g_logits = _unbroadcast(g_kept * keep, gate.shape) * gate * (1.0 - gate)
+        gate_grads = gate_backward(g_logits)
+        msg_grads = msg_backward(_unbroadcast(g_gated * kept, msg.shape))
+        g_x = gate_grads[0] + msg_grads[0]
+        return ([g_x[:, :, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+                + msg_grads[1:] + gate_grads[1:])
+
+    return _fused("gated_messages", _stable_sum(gated.reshape(B, m, m, d), axis=2),
+                  parts + ps, backward)
+
+
+def attention_round(h, w, a_src, a_dst, mask, bias=None, edge_logits=None,
+                    edge_msgs=None, slope: float = 0.2) -> Tensor:
+    """One round of masked multi-head attention with a residual, over B
+    stacked graphs of n nodes, as one op: (B, n, d).
+
+    `h` is (B, n, d), `w` the (d, H*k) projection of H heads of width k
+    (H*k = d), and `a_src` and `a_dst` the (H, k) source and target
+    attention vectors, or (k,) for one head. With `Wh = h @ w (+ bias)` laid
+    out (B, -, j, H, k), the logits are `s_i + r_j (+ edge_logits_ij)`, of
+    shape (B, i, j, H); `alpha` is the softmax over j of their leaky ReLU
+    where the boolean `mask`, broadcast to (B, n, n, H), holds; and the
+    round returns `h + relu(sum_j alpha_ij * (Wh_j (+ edge_msgs_ij)))`,
+    summed over j in sorted order. The optional per-pair terms are
+    `edge_logits`, (B, n, n), added to every head's logits, and `edge_msgs`,
+    (B, n, n, d), added to the messages.
+
+    It is the composed `matmul`, (`add`,) `reshape`, two `einsum`s, `add`,
+    (`add`,) (`add`,) `leaky_relu`, `masked_softmax`, `reshape`, `mul`,
+    `tsum`, `reshape`, `relu` and `add`. Its backward holds what theirs did,
+    and never the (B, n, n, H, k) products `alpha * Wh`."""
+    extras = [None if t is None else as_tensor(t) for t in (bias, edge_logits, edge_msgs)]
+    inputs = [as_tensor(t) for t in (h, w, a_src, a_dst)] + [t for t in extras if t is not None]
+    x, wd, src, dst = (t.data for t in inputs[:4])
+    bias, edge_logits, edge_msgs = (None if t is None else t.data for t in extras)
+    if x.ndim != 3 or src.shape != dst.shape or src.ndim not in (1, 2):
+        raise ShapeError(f"attention over {x.shape} with attention vectors "
+                         f"{src.shape} and {dst.shape}")
+    B, n, d = x.shape
+    heads, k = (1,) + src.shape if src.ndim == 1 else src.shape
+    if heads * k != d:
+        raise ShapeError(f"{heads} heads of width {k} do not make a width of {d}")
+    src2, dst2 = src.reshape(heads, k), dst.reshape(heads, k)
+
+    first, grad_x, grad_w = _product(x, wd)
+    _check_finite(first, "matmul")
+    if bias is not None:
+        first = _check_finite(first + bias, "add")
+    wh = first.reshape(B, 1, n, heads, k)
+    s = _check_finite(np.einsum("bxnhk,hk->bnxh", wh, src2), "einsum")
+    r = _check_finite(np.einsum("bxnhk,hk->bxnh", wh, dst2), "einsum")
+    logits = _check_finite(s + r, "add")
+    if edge_logits is not None:
+        logits = _check_finite(logits + edge_logits.reshape(B, n, n, 1), "add")
+    msgs = wh
+    if edge_msgs is not None:
+        msgs = _check_finite(edge_msgs.reshape(B, n, n, heads, k) + wh, "add")
+    scale = np.where(logits > 0, 1.0, slope)
+    alpha = _check_finite(_masked_softmax(_check_finite(logits * scale, "leaky_relu"),
+                                          mask, 2), "masked_softmax")
+    alpha5 = alpha.reshape(B, n, n, heads, 1)
+    summed = _check_finite(_stable_sum(_check_finite(alpha5 * msgs, "mul"), axis=2),
+                           "tsum")
+    merged = summed.reshape(B, n, d)
+    positive = merged > 0
+    out = _check_finite(np.where(positive, merged, 0.0), "relu") + x
+
+    # the backward reads these arrays and the shapes of the rest
+    shapes = [t.data.shape for t in inputs]
+    has_bias, has_edge_logits, has_edge_msgs = (t is not None for t in extras)
+    first_shape, summed_shape, s_shape, r_shape = first.shape, summed.shape, s.shape, r.shape
+
+    def backward(g):
+        g_summed = (g * positive).reshape(summed_shape)
+        g_prod = np.broadcast_to(np.expand_dims(g_summed, 2), (B, n, n, heads, k))
+        g_msgs = _unbroadcast(g_prod * alpha5, msgs.shape)
+        g_alpha = _unbroadcast(g_prod * msgs, alpha5.shape).reshape(alpha.shape)
+        g_logits = _softmax_grad(g_alpha, alpha, 2) * scale
+        g_s = _unbroadcast(g_logits, s_shape)
+        g_r = _unbroadcast(g_logits, r_shape)
+        # wh's consumers add their gradients last-made first, as the
+        # composed backward sweep does: the messages, then r, then s
+        g_wh = (_unbroadcast(g_msgs, wh.shape) + np.einsum("bxnh,hk->bxnhk", g_r, dst2)
+                + np.einsum("bnxh,hk->bxnhk", g_s, src2))
+        g_first = g_wh.reshape(first_shape)
+        grads = [g + grad_x(g_first), grad_w(g_first),
+                 np.einsum("bnxh,bxnhk->hk", g_s, wh), np.einsum("bxnh,bxnhk->hk", g_r, wh)]
+        if has_bias:
+            grads.append(_unbroadcast(g_first, shapes[4]))
+        if has_edge_logits:
+            grads.append(_unbroadcast(g_logits, (B, n, n, 1)))
+        if has_edge_msgs:
+            grads.append(g_msgs)
+        return [grad.reshape(shape) for grad, shape in zip(grads, shapes)]
+
+    return _fused("attention_round", out, inputs, backward)
+
+
+GRU_PARAMS = ("wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc")
+
+
 def gru_cell(h, m, params: dict) -> Tensor:
-    """Gated recurrent update of state h given aggregated message m.
+    """Gated recurrent update of state h given aggregated message m, as one op.
 
     params maps 'wz','uz','bz','wr','ur','br','wc','uc','bc' to tensors;
-    w* act on h, u* on m. Output: (1 - z) * h + z * tanh((r * h) Wc + m Uc + bc).
+    w* act on h, u* on m. Output: (1 - z) * h + z * tanh((r * h) Wc + m Uc + bc),
+    with z = sigmoid(h Wz + m Uz + bz) and r = sigmoid(h Wr + m Ur + br),
+    each product, sum and activation computed and checked as its own op
+    would be.
     """
     h, m = as_tensor(h), as_tensor(m)
     if h.data.shape != m.data.shape:
         raise ShapeError(f"state {h.data.shape} and message {m.data.shape} differ")
-    z = sigmoid(add(add(matmul(h, params["wz"]), matmul(m, params["uz"])), params["bz"]))
-    r = sigmoid(add(add(matmul(h, params["wr"]), matmul(m, params["ur"])), params["br"]))
-    c = tanh(add(add(matmul(mul(r, h), params["wc"]), matmul(m, params["uc"])), params["bc"]))
-    one_minus_z = sub(1.0, z)
-    return add(mul(one_minus_z, h), mul(z, c))
+    ps = [as_tensor(params[k]) for k in GRU_PARAMS]
+    hd, md = h.data, m.data
+    wz, uz, bz, wr, ur, br, wc, uc, bc = (p.data for p in ps)
+
+    def pre_activation(x, w, u, b):
+        """`x @ w + m @ u + b`, and the gradient functions of its products."""
+        xw, grad_x, grad_w = _product(x, w)
+        _check_finite(xw, "matmul")
+        mu, grad_m, grad_u = _product(md, u)
+        _check_finite(mu, "matmul")
+        return _check_finite(_check_finite(xw + mu, "add") + b, "add"), (
+            grad_x, grad_w, grad_m, grad_u)
+
+    az, dz = pre_activation(hd, wz, uz, bz)
+    z = _check_finite(_sigmoid(az), "sigmoid")
+    ar, dr = pre_activation(hd, wr, ur, br)
+    r = _check_finite(_sigmoid(ar), "sigmoid")
+    rh = _check_finite(r * hd, "mul")
+    ac, dc = pre_activation(rh, wc, uc, bc)
+    c = _check_finite(np.tanh(ac), "tanh")
+    keep_h = _check_finite(1.0 - z, "sub")
+    out = _check_finite(keep_h * hd, "mul") + _check_finite(z * c, "mul")
+    sz, sr, sc = bz.shape, br.shape, bc.shape
+
+    def backward(g):
+        # Contributions to h, m and z are added in the order the composed
+        # chain's backward sweep adds them: its last-made consumer first.
+        g_z = g * c - g * hd
+        g_ac = g * z * (1.0 - c * c)
+        g_h = g * keep_h
+        g_rh = dc[0](g_ac)
+        g_ar = g_rh * hd * r * (1.0 - r)
+        g_h = g_h + g_rh * r
+        g_az = g_z * z * (1.0 - z)
+        g_m = dc[2](g_ac) + dr[2](g_ar) + dz[2](g_az)
+        g_h = g_h + dr[0](g_ar) + dz[0](g_az)
+        return [g_h, g_m,
+                dz[1](g_az), dz[3](g_az), _unbroadcast(g_az, sz),
+                dr[1](g_ar), dr[3](g_ar), _unbroadcast(g_ar, sr),
+                dc[1](g_ac), dc[3](g_ac), _unbroadcast(g_ac, sc)]
+
+    return _fused("gru_cell", out, [h, m] + ps, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -93,15 +93,8 @@ class StepPrediction:
     prev_nodes: tuple[int, ...]
 
 
-def _mlp2(x: Tensor, w1, b1, w2, b2) -> Tensor:
-    return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
-
-
-def _log_softmax(logits: Tensor) -> Tensor:
-    """Log-probabilities over the last axis."""
-    shape = logits.data.shape
-    lse = ad.logsumexp(logits, axis=len(shape) - 1)
-    return ad.sub(logits, ad.reshape(lse, shape[:-1] + (1,)))
+# the reference loops in tests/test_denoiser.py import the head MLP by this name
+_mlp2 = ad.mlp2
 
 
 class DenoiserNet(ad.Network):
@@ -170,12 +163,14 @@ class DenoiserNet(ad.Network):
         """L rounds over B views of one size m; returns ((B, m, d) per-node
         embeddings, (B, d) mean pooling).
 
-        Each round is one dense masked op over the views' (m, m) pairs: a
-        pair (a, b) exchanges a message only if its edge state is not ABSENT,
-        and the result sums over b in sorted order, so the embeddings are
-        equivariant to node relabeling bit for bit. Products run one view's
-        slice at a time, and every sum and normalization stays within a
-        slice, so each view gets the bits of its own stack of one.
+        Each round is one dense masked op over the views' (m, m) pairs:
+        `autodiff.attention_round` with one head (GAT), or `gated_messages`
+        then `gru_cell` (gated GRU). A pair (a, b) exchanges a message only
+        if its edge state is not ABSENT, and the result sums over b in
+        sorted order, so the embeddings are equivariant to node relabeling
+        bit for bit. Products run one view's slice at a time, and every sum
+        and normalization stays within a slice, so each view gets the bits
+        of its own stack of one.
         """
         c = self.config
         B, m = len(views), views[0].size
@@ -188,49 +183,32 @@ class DenoiserNet(ad.Network):
         h = ad.rows(self._get(tape, "node_embed"), node_tokens)       # (B, m, d)
 
         if c.aggregator == "gat":
-            attend = neighbours | np.eye(m, dtype=bool)
+            attend = (neighbours | np.eye(m, dtype=bool))[..., None]    # (B, m, m, 1 head)
             edge_table = self._get(tape, "edge_embed")
             for l in range(c.layers):
-                wh = ad.add(ad.matmul(h, self._get(tape, f"l{l}_w")),
-                            self._get(tape, f"l{l}_b"))
-                # laid out (b, -, j, d), so the messages broadcast over i and
-                # the scores come out as (b, i, -) and (b, -, j)
-                msgs = ad.reshape(wh, (B, 1, m, c.hidden))
-                s = ad.einsum("bxnd,d->bnx", msgs, self._get(tape, f"l{l}_asrc"))
-                r = ad.einsum("bxnd,d->bxn", msgs, self._get(tape, f"l{l}_adst"))
-                logits = ad.add(s, r)
+                w, b, a_src, a_dst = (self._get(tape, f"l{l}_{name}")
+                                      for name in ("w", "b", "asrc", "adst"))
+                e_att = e_msg = None
                 if c.edge_in_attention:
                     # per-token tables, gathered: a pair's terms depend on its
                     # token alone, never on where its row sits in a product
                     e_att = ad.take(ad.matmul(edge_table, self._get(tape, f"l{l}_aedge")),
                                     edge_tokens)
-                    logits = ad.add(logits, e_att)
                     e_msg = ad.rows(ad.matmul(edge_table, self._get(tape, f"l{l}_p")),
                                     edge_tokens)
-                    msgs = ad.add(e_msg, msgs)
-                alpha = ad.masked_softmax(ad.leaky_relu(logits, slope=c.leaky_slope),
-                                          attend, axis=2)
-                out = ad.tsum(ad.mul(ad.reshape(alpha, (B, m, m, 1)), msgs), axis=2)
-                h = ad.add(ad.relu(out), h)   # residual connection
+                h = ad.attention_round(h, w, a_src, a_dst, attend, bias=b, edge_logits=e_att,
+                                       edge_msgs=e_msg, slope=c.leaky_slope)
         else:
             first = (np.arange(B) * m)[:, None]       # row of each view's node 0
             src = first + np.repeat(np.arange(m), m)  # a of the pair (a, b)
             dst = first + np.tile(np.arange(m), m)    # b of the pair (a, b)
-            keep = neighbours.reshape(B, m * m, 1).astype(np.float64)
             e = ad.rows(self._get(tape, "edge_embed"), edge_tokens.reshape(B, m * m))
             for l in range(c.layers):
-                inp = ad.concat([ad.rows(h, src), ad.rows(h, dst), e], axis=2)
-                msg = _mlp2(inp, self._get(tape, f"l{l}_f1"), self._get(tape, f"l{l}_f1b"),
-                            self._get(tape, f"l{l}_f2"), self._get(tape, f"l{l}_f2b"))
-                gate = ad.sigmoid(_mlp2(inp, self._get(tape, f"l{l}_g1"),
-                                        self._get(tape, f"l{l}_g1b"),
-                                        self._get(tape, f"l{l}_g2"),
-                                        self._get(tape, f"l{l}_g2b")))
-                gated = ad.mul(ad.mul(gate, keep), msg)   # exact zero off the edges
-                agg = ad.tsum(ad.reshape(gated, (B, m, m, c.hidden)), axis=2)
-                h = gru_cell(h, agg, {gp: self._get(tape, f"l{l}_{gp}")
-                                      for gp in ("wz", "uz", "bz", "wr", "ur", "br",
-                                                 "wc", "uc", "bc")})
+                agg = ad.gated_messages(ad.rows(h, src), ad.rows(h, dst), e, neighbours,
+                                        {name: self._get(tape, f"l{l}_{name}")
+                                         for name in ad.MESSAGE_PARAMS})
+                h = gru_cell(h, agg, {name: self._get(tape, f"l{l}_{name}")
+                                      for name in ad.GRU_PARAMS})
         return h, ad.tmean(h, axis=1)
 
     # -- heads ----------------------------------------------------------------
@@ -250,17 +228,17 @@ class DenoiserNet(ad.Network):
         h, h_g = self.message_pass(views, tape)
         h_t = ad.rows(h, first + [v.target_index for v in views])          # (B, d)
         node_in = ad.reshape(ad.concat([h_g, h_t], axis=1), (B, 1, 2 * c.hidden))
-        node_logits = _mlp2(node_in, self._get(tape, "nh1"), self._get(tape, "nh1b"),
-                            self._get(tape, "nh2"), self._get(tape, "nh2b"))
-        node_logp = _log_softmax(ad.reshape(node_logits, (B, c.num_node_types)))
+        node_logits = ad.mlp2(node_in, self._get(tape, "nh1"), self._get(tape, "nh1b"),
+                              self._get(tape, "nh2"), self._get(tape, "nh2b"))
+        node_logp = ad.log_softmax(ad.reshape(node_logits, (B, c.num_node_types)))
         if m == 1:
             return node_logp, None, None
         prev_idx = [[v.nodes.index(u) for u in v.prev_nodes()] for v in views]
         pair = ad.concat([ad.tile_row(h_g, m - 1), ad.tile_row(h_t, m - 1),
                           ad.rows(h, first[:, None] + prev_idx)], axis=2)
-        mix_logits = ad.tsum(_mlp2(pair, self._get(tape, "mh1"), self._get(tape, "mh1b"),
-                                   self._get(tape, "mh2"), self._get(tape, "mh2b")), axis=1)
-        return node_logp, _log_softmax(mix_logits), pair
+        mix_logits = ad.tsum(ad.mlp2(pair, self._get(tape, "mh1"), self._get(tape, "mh1b"),
+                                     self._get(tape, "mh2"), self._get(tape, "mh2b")), axis=1)
+        return node_logp, ad.log_softmax(mix_logits), pair
 
     def _edge_logits(self, pair, k: int, tape: Tape | None) -> Tensor:
         """Mixture component k's edge head over (B, P, 3d) pair features:
@@ -278,8 +256,8 @@ class DenoiserNet(ad.Network):
     def _edge_log_probs(self, pair, tape: Tape | None) -> Tensor:
         """All K components' edge log-probs, (B, K, P, E), over the pair
         features that `_edge_logits` takes."""
-        return _log_softmax(ad.stack([self._edge_logits(pair, k, tape)
-                                      for k in range(self.config.mixtures)], axis=1))
+        return ad.log_softmax(ad.stack([self._edge_logits(pair, k, tape)
+                                        for k in range(self.config.mixtures)], axis=1))
 
     def _stack_log_heads(self, views, tape: Tape | None):
         """(node log-probs (B, T), mixture log-weights (B, K), edge log-probs
@@ -450,7 +428,7 @@ class StepSampler:
         """Component k's (P, E) edge-state probabilities."""
         probs = self._edge_probs.get(k)
         if probs is None:
-            logp = _log_softmax(self._net._edge_logits(self._pair, k, None))
+            logp = ad.log_softmax(self._net._edge_logits(self._pair, k, None))
             probs = self._edge_probs[k] = np.exp(logp.data[0])
         return probs
 

@@ -129,10 +129,11 @@ class OrderingNet(ad.Network):
         """(B, n) scores of B prefixes of one graph; each slice has the bits
         of its prefix scored alone.
 
-        Each layer attends over all prefixes, heads and nodes at once: logits
-        s_i + r_j of shape (B, n, n, heads), softmax over the neighbours j of
-        i (self included), and a sorted sum over j of alpha * Wh, so the
-        scores are equivariant to node relabeling bit for bit.
+        Each layer is one `autodiff.attention_round` over all prefixes,
+        heads and nodes at once: logits s_i + r_j of shape (B, n, n, heads),
+        softmax over the neighbours j of i (self included), and a sorted sum
+        over j of alpha * Wh, so the scores are equivariant to node
+        relabeling bit for bit.
         """
         c = self.config
         weights = weights or self.layer_weights(tape)
@@ -151,23 +152,13 @@ class OrderingNet(ad.Network):
 
         neighbours = ((graph.adjacency != ABSENT) | np.eye(n, dtype=bool))[:, :, None]
         for w, a_src, a_dst in weights:
-            # wh is laid out (b, -, j, head, k), so it broadcasts over i below
-            # and the scores come out as (b, i, -, head) and (b, -, j, head)
-            wh = ad.reshape(ad.matmul(h, w), (b, 1, n, c.heads, c.hidden))
-            s = ad.einsum("bxnhk,hk->bnxh", wh, a_src)
-            r = ad.einsum("bxnhk,hk->bxnh", wh, a_dst)
-            logits = ad.leaky_relu(ad.add(s, r), slope=c.leaky_slope)
-            alpha = ad.masked_softmax(logits, neighbours, axis=2)
-            msgs = ad.mul(ad.reshape(alpha, (b, n, n, c.heads, 1)), wh)   # (b, i, j, head, k)
-            merged = ad.reshape(ad.tsum(msgs, axis=2), (b, n, c.model_dim))
-            h = ad.add(ad.relu(merged), h)   # residual connection
+            h = ad.attention_round(h, w, a_src, a_dst, neighbours, slope=c.leaky_slope)
         # an einsum, not a BLAS matrix-vector product, whose bits would
         # depend on each node's row position
         return ad.einsum("bnd,d->bn", h, self._get(tape, "w_out"))
 
     def _step_log_probs(self, scores: Tensor, unabsorbed: list[int]) -> Tensor:
-        sel = ad.take(scores, unabsorbed)
-        return ad.sub(sel, ad.logsumexp(sel))
+        return ad.log_softmax(ad.take(scores, unabsorbed))
 
     # -- public operations ----------------------------------------------------
 

@@ -110,11 +110,14 @@ def _retained_candidates(weights: dict[int, float], sampled: int, top_k: int):
     """Sampled node first, then the highest-weight other candidates, weights
     renormalized over what is kept. Candidates tied with the cutoff weight are
     all retained, so the kept set depends on the weights alone (and therefore
-    commutes with node relabeling)."""
+    commutes with node relabeling). With top_k <= 1 only the sampled node is
+    kept, at weight 1.0, which is what the renormalization gives it."""
+    if top_k <= 1:
+        return [(sampled, 1.0)]
     others = sorted((v for v in weights if v != sampled),
                     key=lambda v: (-weights[v], v))
-    cutoff = max(top_k - 1, 0)
-    if cutoff == 0 or not others:
+    cutoff = top_k - 1
+    if not others:
         kept = [sampled]
     elif len(others) <= cutoff:
         kept = [sampled] + others

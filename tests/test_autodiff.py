@@ -559,6 +559,7 @@ def _loss_through_every_op(tape: Tape) -> Tensor:
            for k in ("wz", "uz", "wr", "ur", "wc", "uc")}
     gru.update({k: tape.watch(Parameter(k, rng.normal(size=4))) for k in ("bz", "br", "bc")})
     h = ad.tanh(ad.matmul(w, v))
+    w3, w12 = ad.reshape(w, (1, 4, 4)), ad.concat([w, w, w])
     parts = [
         ad.add(h, 1.0), ad.sub(h, v), ad.neg(h), ad.mul(h, v), h @ w,
         ad.concat([h, v]), ad.stack([h, v]), ad.reshape(w, (2, 8)), ad.tile_row(v, 3),
@@ -568,6 +569,11 @@ def _loss_through_every_op(tape: Tape) -> Tensor:
         ad.masked_softmax(w, np.array([True, False, True, True])),
         ad.einsum("ij,j->i", w, v), ad.logsumexp(w, axis=1), ad.logsumexp(v),
         ad.gru_cell(h, v, gru),
+        ad.mlp2(w3, w, v, w, h), ad.log_softmax(w),
+        ad.gated_messages(w3, w3, w3, np.ones((1, 2, 2), dtype=bool), dict(zip(
+            ad.MESSAGE_PARAMS, [w12, v, w, h, w12, v, ad.reshape(v, (4, 1)), ad.pick(v, 0)]))),
+        ad.attention_round(w3, w, ad.reshape(v, (2, 2)), ad.reshape(h, (2, 2)), True, v, w,
+                           ad.tile_row(w, 4)),
         ad.matmul_blocks([ad.reshape(w, (1, 4, 4)), ad.reshape(h, (1, 1, 4))], w),
     ]
     total = ad.tsum(parts[0])

@@ -903,3 +903,18 @@ class TestCheckpointNames:
                 == (tmp_path / "hand" / names[0]).read_bytes())
         assert ((run_dir / names[1]).read_bytes()
                 == (tmp_path / "end" / names[1]).read_bytes())
+
+
+class TestRetainedCandidates:
+    @pytest.mark.parametrize("top_k", [0, 1])
+    def test_top_k_one_keeps_the_sampled_node_at_weight_one(self, top_k):
+        for weights in ({0: 0.25, 1: 0.5, 2: 0.25}, {0: 1e-300, 1: 1.0}, {0: 1.0}):
+            assert training._retained_candidates(weights, 0, top_k) == [(0, 1.0)]
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    def test_zero_weight_fallback(self, top_k):
+        assert training._retained_candidates({0: 0.0, 1: 0.0}, 1, top_k) == [(1, 1.0)]
+
+    def test_top_k_two_renormalizes_over_the_best_other(self):
+        kept = training._retained_candidates({0: 0.2, 1: 0.5, 2: 0.3}, 0, 2)
+        assert kept == [(0, 0.2 / (0.0 + 0.2 + 0.5)), (1, 0.5 / (0.0 + 0.2 + 0.5))]

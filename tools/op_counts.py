@@ -1,7 +1,7 @@
 """Print how many public `agd.autodiff` ops one call of each of the models'
 entry points makes, on fixed seeded inputs. The count is perfbench's
 `autodiff.op_calls`, from its tracer: nested calls count too, so an op that
-calls other public ops (`tmean`, `gru_cell`, ...) counts once for itself and
+calls other public ops (`tmean`, `softmax`) counts once for itself and
 once for each op it calls. Every wrapped op is put back after each call.
 
     python3 tools/op_counts.py
