@@ -4,6 +4,9 @@ Small by design: enough operations for attention-style message passing,
 GRU updates and categorical heads, at graph sizes where clarity beats speed.
 Reductions over an axis sum their inputs in sorted order, so any computation
 whose inputs are a permutation of another's produces bit-identical values.
+Where numpy sums the axis in sequence (it is not effectively innermost) and
+a shape rule says it pays, a comparator network sorts it and a left fold
+from +0.0 adds it, with the bits of `np.sort(x, axis).sum(axis)`.
 
 A tape entry is the list of (parent node id, vjp) pairs of one op's tracked
 inputs, in input order; a parameter's entry is empty. The backward sweep
@@ -33,6 +36,16 @@ than once must have no consumer made after the op. `DenoiserNet` therefore
 gathers a GRU round's `h` outside the op, and makes the GAT round's
 per-token edge products, two reads of `edge_embed`, outside it too.
 
+`attention_round` keeps its logits and softmax dense, and forms its
+products, their sum and their gradients over padded neighbour lists
+(`NeighbourLists`, built once per forward by the caller): a pair outside
+the mask forms no product, and a padded slot adds an exact zero, so the
+bits are the dense round's. The same shape rule picks the lists' width, and
+width n, the dense layout, where lists would not pay.
+
+Every op checks its output for finiteness, by its sum first and by
+`np.isfinite` only when the sum is not finite.
+
 `matmul` has one backward rule at every operand rank: a 1-D `a` is read as
 one row and a 1-D `b` as one column, as numpy reads them, and the gradients
 of those 2-D views are two products, `_lhs_grad` and `_rhs_grad`, that
@@ -52,6 +65,8 @@ A closure that needs only an operand's shape holds the shape, so `tsum` and
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,15 +105,86 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(data).all():
+    # A sum is finite only if every entry is, so only a sum that is not (an
+    # entry that is not, or finite entries that overflow) needs the exact
+    # test. Where warnings are errors, the sum's overflow warning sends the
+    # check to the exact test too.
+    try:
+        finite = math.isfinite(np.add.reduce(data, axis=None))
+    except RuntimeWarning:
+        finite = False
+    if not finite and not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
     return data
 
 
+# The shape rule of the sorted sum and of the neighbour lists, in estimated
+# microseconds, measured on a 2-core x86 host (numpy 2.4, one BLAS thread):
+# one numpy call over E float64 values costs about 0.45 + E / 2200, and
+# np.sort plus sum along a width-w axis that is not innermost about
+# 2.5 + (0.036 + 0.002 w) per lane (one slice along the axis), for w from 2
+# to 16. A comparator network makes 2 C(w) + w + 1 calls over the lanes
+# after a set-up of about 3, so it pays from about 73 lanes at width 2,
+# 195 at 4, 707 at 8, 2,776 at 12 and 21,617 at 16.
+def _call_us(values: int) -> float:
+    return 0.45 + values / 2200
+
+
+def _sort_us(width: int, lanes: int) -> float:
+    return 2.5 + (0.036 + 0.002 * width) * lanes
+
+
+def _network_us(width: int, lanes: int) -> float:
+    return 3.0 + (2 * len(_merge_network(width)) + width + 1) * _call_us(lanes)
+
+
+def _sum_us(width: int, lanes: int) -> float:
+    """The cost of `_stable_sum` over a width-`width` axis that is not
+    innermost, with `lanes` lanes."""
+    return min(_network_us(width, lanes), _sort_us(width, lanes))
+
+
+@functools.cache
+def _merge_network(width: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort over `width` slots, as (low, high) slot
+    pairs in order: the network for the next power of two, less the
+    comparators that reach past the last slot (those slots would hold +inf)."""
+    pairs, p = [], 1
+    while p < width:
+        k = p
+        while k >= 1:
+            for j in range(k % p, width - k, 2 * k):
+                for i in range(min(k, width - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
 def _stable_sum(data: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    # Canonical (sorted) summation order: permutation-invariant forward values.
-    # numpy's reduction order follows the memory layout, so fix that too.
-    return np.sort(np.ascontiguousarray(data), axis=axis).sum(axis=axis, keepdims=keepdims)
+    """The sum over `axis` in sorted order: permutation-invariant values.
+
+    numpy sums an axis that is not effectively innermost in sequence, from
+    +0.0, so where the shape rule says it pays, the axis is sorted by a
+    comparator network (`np.minimum` and `np.maximum` across its slots) and
+    folded left from +0.0, with the bits of `np.sort(x, axis).sum(axis)`.
+    Elsewhere, and along an effectively innermost axis, which numpy sums
+    pairwise, it is that expression, on a contiguous copy: numpy's
+    reduction order follows the memory layout."""
+    axis %= data.ndim
+    width = data.shape[axis]
+    lanes = data.size // width if width else 0
+    if (width == 0 or math.prod(data.shape[axis + 1:]) == 1
+            or _network_us(width, lanes) >= _sort_us(width, lanes)):
+        return np.sort(np.ascontiguousarray(data), axis=axis).sum(axis=axis, keepdims=keepdims)
+    slots = [data[(slice(None),) * axis + (i,)] for i in range(width)]
+    for lo, hi in _merge_network(width):
+        slots[lo], slots[hi] = np.minimum(slots[lo], slots[hi]), np.maximum(slots[lo], slots[hi])
+    total = np.zeros(slots[0].shape, dtype=data.dtype)
+    for slot in slots:
+        total += slot
+    return np.expand_dims(total, axis) if keepdims else total
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -235,6 +321,23 @@ class Network:
         if tape is None:
             return Tensor(self.params[name].data)
         return tape.watch(self.params[name])
+
+
+class WatchOnce:
+    """Stands in for `tape` where a network reads its parameters (`_get`)
+    over one call: each parameter is lifted onto the tape once, and the
+    same tensor is handed back after. The dict lives as long as this
+    object, which the tape does not hold."""
+
+    def __init__(self, tape: Tape):
+        self.tape = tape
+        self._tensors: dict[str, Tensor] = {}
+
+    def watch(self, param: Parameter) -> Tensor:
+        tensor = self._tensors.get(param.name)
+        if tensor is None:
+            tensor = self._tensors[param.name] = self.tape.watch(param)
+        return tensor
 
 
 def as_tensor(x) -> Tensor:
@@ -738,6 +841,136 @@ def gated_messages(h_src, h_dst, edges, mask, params: dict) -> Tensor:
                   parts + ps, backward)
 
 
+def _pair_mask(mask, B: int, n: int) -> np.ndarray:
+    """The (B, n, n) pairs that some head attends, from a boolean mask that
+    broadcasts to (B, n, n, heads)."""
+    keep = np.asarray(mask, dtype=bool)
+    try:
+        keep = np.broadcast_to(keep, (B, n, n, keep.shape[-1] if keep.ndim else 1))
+    except ValueError:
+        raise ShapeError(f"mask {keep.shape} does not broadcast to {(B, n, n)}") from None
+    return keep.any(axis=3)
+
+
+def _list_width(counts: np.ndarray, d: int, edge_terms: bool) -> int:
+    """The padded width of lists of `counts` entries each, (B, n), over
+    states of width d, by the shape rule: the width whose estimated round,
+    forward and backward, costs least. Lists longer than the width form
+    their own group, padded to the longest. Width n is the dense layout,
+    which gathers nothing. A dense round makes 5 passes over its B n n d
+    products; a list round makes 8 over its B n w d, and each group of
+    lists costs about 40 more in set-up and small calls. With edge terms,
+    the lists also pay 2 passes over the dense B n n d: the bound that
+    covers the sums they do not form, or the edge gradient's zeros and
+    scatter. So, measured on the host above, lists pay for the ordering
+    network's layers at paper widths from one prefix, and for a GAT round
+    at paper widths only over stacks of several views. At d = 1 the slot
+    axis would be innermost, which numpy sums pairwise, so the layout is
+    dense."""
+    R, n = counts.size, counts.shape[-1]
+    best, least = n, 5 * _call_us(R * n * d) + _sum_us(n, R * d)
+    if d == 1 or least <= 40:
+        return n
+    lengths = sorted(counts.reshape(-1).tolist())
+    top, fixed = lengths[-1], 40 + (2 * _call_us(R * n * d) if edge_terms else 0)
+    for width in sorted(set(lengths[:bisect.bisect_left(lengths, n)])):
+        us = fixed + 8 * _call_us(R * width * d) + _sum_us(width, R * d)
+        long = R - bisect.bisect_right(lengths, width)
+        if long:
+            us += 40 + 8 * _call_us(long * top * d) + _sum_us(top, long * d)
+        if us < least:
+            best, least = width, us
+    return best
+
+
+class _PaddedLists:
+    """The (B, n, n) pairs of `keep` as padded lists, one per node: list
+    (b, i) holds the partners j of node i of slice b, keep[b, i, j], in
+    ascending order, then other nodes of the slice, whose pairs are not
+    attended. Row lists read keep as (b, i, j), column lists (`by_column`)
+    as (b, j, i): list (b, j) then holds the nodes i that attend j.
+
+    `groups` are (targets, nodes, pairs): `nodes` the flat node ids
+    b * n + partner of each slot, and `pairs` the flat ids (b * n + i) * n + j
+    of each slot's pair. The first group holds every list, (B, n, width),
+    with targets None; lists longer than the width form a second group,
+    (G, longest), whose targets are their flat ids b * n + i. In the dense
+    layout (width n) the first group is the only one, and its nodes and
+    pairs are None: every node, in order."""
+
+    def __init__(self, keep: np.ndarray, d: int, edge_terms: bool, by_column: bool):
+        B, n, _ = keep.shape
+        self.shape, self.by_column = (B, n), by_column
+        counts = keep.sum(axis=2)
+        self.width = _list_width(counts, d, edge_terms)
+        if self.width == n:
+            self.groups = [(None, None, None)]
+            return
+        order = np.argsort(~keep, axis=2, kind="stable")       # partners first
+        lists = np.arange(B * n)                                 # flat id b * n + i
+        base = lists - lists % n                                 # b * n
+
+        def ids(targets, partners):
+            nodes = base[targets, None] + partners
+            at = targets[:, None] % n
+            return nodes, (nodes * n + at if by_column else targets[:, None] * n + partners)
+
+        nodes, pairs = ids(lists, order.reshape(B * n, n)[:, :self.width])
+        self.groups = [(None, nodes.reshape(B, n, -1), pairs.reshape(B, n, -1))]
+        long = np.flatnonzero(counts > self.width)
+        if long.size:
+            top = counts.reshape(-1)[long].max()
+            self.groups.append((long,) + ids(long, order.reshape(B * n, n)[long, :top]))
+
+    def slot_axis(self, targets) -> int:
+        """The axis of a group's slots: 2 over every list, 1 over the long
+        ones. The dense column layout keeps the pairs' (b, i, j) order, with
+        its slots i along axis 1, so that the sums over i are numpy's sums
+        over that axis."""
+        return 1 if targets is not None or (self.by_column and self.width == self.shape[1]) else 2
+
+    def of_nodes(self, values: np.ndarray, nodes) -> np.ndarray:
+        """The (B, n, ...) node `values` at the slots' nodes: (B, n, width,
+        ...) or (G, longest, ...); in the dense layout, laid out to
+        broadcast against the pairs, (B, 1, n, ...) for rows and (B, n, 1,
+        ...) for columns."""
+        B, n = self.shape
+        if nodes is None:
+            return values.reshape(((B, n, 1) if self.by_column else (B, 1, n)) + values.shape[2:])
+        return values.reshape((B * n,) + values.shape[2:])[nodes]
+
+    def of_pairs(self, values: np.ndarray, pairs) -> np.ndarray:
+        """The (B, n, n, ...) pair `values`, laid out (b, i, j), at the
+        slots' pairs: (B, n, width, ...) or (G, longest, ...), or all of
+        them as they are in the dense layout."""
+        if pairs is None:
+            return values
+        B, n = self.shape
+        return values.reshape((B * n * n,) + values.shape[3:])[pairs]
+
+
+class NeighbourLists:
+    """The pairs that `attention_round` attends, from a boolean `mask` that
+    broadcasts to (B, n, n, heads), for rounds over (B, n, d) states of
+    `shape`. A caller builds them once and passes them to every round in
+    place of the mask. `rows` lay the pairs out by the attending node i,
+    for the messages' sum and the attention gradient; `columns`, built on
+    first use by a backward, by the attended node j, for the message
+    gradients. Each picks its own width by the shape rule, which weighs
+    `edge_terms`: whether the rounds add per-pair edge messages."""
+
+    def __init__(self, mask, shape, edge_terms: bool = False):
+        B, n, d = shape
+        self.mask, self.shape, self.edge_terms = mask, tuple(shape), edge_terms
+        self._keep = _pair_mask(mask, B, n)
+        self.rows = _PaddedLists(self._keep, d, edge_terms, by_column=False)
+
+    @functools.cached_property
+    def columns(self) -> _PaddedLists:
+        return _PaddedLists(self._keep.swapaxes(1, 2), self.shape[2], self.edge_terms,
+                            by_column=True)
+
+
 def attention_round(h, w, a_src, a_dst, mask, bias=None, edge_logits=None,
                     edge_msgs=None, slope: float = 0.2) -> Tensor:
     """One round of masked multi-head attention with a residual, over B
@@ -752,12 +985,21 @@ def attention_round(h, w, a_src, a_dst, mask, bias=None, edge_logits=None,
     round returns `h + relu(sum_j alpha_ij * (Wh_j (+ edge_msgs_ij)))`,
     summed over j in sorted order. The optional per-pair terms are
     `edge_logits`, (B, n, n), added to every head's logits, and `edge_msgs`,
-    (B, n, n, d), added to the messages.
+    (B, n, n, d), added to the messages. `mask` may be `NeighbourLists`
+    built for h's shape, which rounds over the same pairs share.
 
     It is the composed `matmul`, (`add`,) `reshape`, two `einsum`s, `add`,
     (`add`,) (`add`,) `leaky_relu`, `masked_softmax`, `reshape`, `mul`,
-    `tsum`, `reshape`, `relu` and `add`. Its backward holds what theirs did,
-    and never the (B, n, n, H, k) products `alpha * Wh`."""
+    `tsum`, `reshape`, `relu` and `add`. The logits and the softmax are
+    dense; the products alpha * messages, their sum and their gradients are
+    formed over the neighbour lists, rows for the sum and the attention
+    gradient, columns for the message gradients, so a pair outside the mask
+    forms none. Its exact zero changes no sum: the sorted sum and the
+    gradients' sums over i fold from +0.0, and a padded slot adds alpha = 0
+    times a finite message. The `edge_msgs + Wh` sums the lists do not form
+    are finite when max|edge_msgs| + max|Wh| is, and are formed and checked
+    when it is not. Its backward holds what theirs did, and never the
+    (B, n, n, H, k) products `alpha * Wh`."""
     extras = [None if t is None else as_tensor(t) for t in (bias, edge_logits, edge_msgs)]
     inputs = [as_tensor(t) for t in (h, w, a_src, a_dst)] + [t for t in extras if t is not None]
     x, wd, src, dst = (t.data for t in inputs[:4])
@@ -769,6 +1011,9 @@ def attention_round(h, w, a_src, a_dst, mask, bias=None, edge_logits=None,
     heads, k = (1,) + src.shape if src.ndim == 1 else src.shape
     if heads * k != d:
         raise ShapeError(f"{heads} heads of width {k} do not make a width of {d}")
+    lists = mask if isinstance(mask, NeighbourLists) else None
+    if lists is not None and lists.shape != x.shape:
+        raise ShapeError(f"neighbour lists for {lists.shape} given states {x.shape}")
     src2, dst2 = src.reshape(heads, k), dst.reshape(heads, k)
 
     first, grad_x, grad_w = _product(x, wd)
@@ -781,15 +1026,42 @@ def attention_round(h, w, a_src, a_dst, mask, bias=None, edge_logits=None,
     logits = _check_finite(s + r, "add")
     if edge_logits is not None:
         logits = _check_finite(logits + edge_logits.reshape(B, n, n, 1), "add")
-    msgs = wh
-    if edge_msgs is not None:
-        msgs = _check_finite(edge_msgs.reshape(B, n, n, heads, k) + wh, "add")
     scale = np.where(logits > 0, 1.0, slope)
     alpha = _check_finite(_masked_softmax(_check_finite(logits * scale, "leaky_relu"),
-                                          mask, 2), "masked_softmax")
-    alpha5 = alpha.reshape(B, n, n, heads, 1)
-    summed = _check_finite(_stable_sum(_check_finite(alpha5 * msgs, "mul"), axis=2),
-                           "tsum")
+                                          mask if lists is None else lists.mask, 2),
+                          "masked_softmax")
+    lists = lists or NeighbourLists(mask, x.shape, edge_msgs is not None)
+    rows = lists.rows
+    if edge_msgs is not None and rows.width < n and not math.isfinite(
+            float(max(edge_msgs.max(), -edge_msgs.min())) + float(max(first.max(), -first.min()))):
+        _check_finite(edge_msgs.reshape(B, n, n, heads, k) + wh, "add")
+
+    def messages(nodes, pairs):
+        """Wh (+ edge_msgs) at the row lists' slots, (..., H, k), and
+        whether it is a new array, which the caller may overwrite: it is a
+        view of Wh in the dense layout without edge terms."""
+        msgs = rows.of_nodes(first, nodes)
+        if edge_msgs is not None:
+            msgs = rows.of_pairs(edge_msgs, pairs) + msgs
+        return (msgs.reshape(msgs.shape[:-1] + (heads, k)),
+                nodes is not None or edge_msgs is not None)
+
+    # the products overwrite the messages where they are new arrays; the
+    # backward gathers the messages again, as the composed chain's held Wh
+    # and edge terms, and holds no (..., H, k) array of its own
+    summed = None
+    for targets, nodes, pairs in rows.groups:
+        msgs, new = messages(nodes, pairs)
+        if edge_msgs is not None:
+            _check_finite(msgs, "add")
+        products = _check_finite(np.multiply(rows.of_pairs(alpha, pairs)[..., None], msgs,
+                                             out=msgs if new else None), "mul")
+        part = _stable_sum(products, axis=rows.slot_axis(targets))
+        if targets is None:
+            summed = part
+        else:
+            summed.reshape(B * n, heads, k)[targets] = part
+    _check_finite(summed, "tsum")
     merged = summed.reshape(B, n, d)
     positive = merged > 0
     out = _check_finite(np.where(positive, merged, 0.0), "relu") + x
@@ -797,19 +1069,46 @@ def attention_round(h, w, a_src, a_dst, mask, bias=None, edge_logits=None,
     # the backward reads these arrays and the shapes of the rest
     shapes = [t.data.shape for t in inputs]
     has_bias, has_edge_logits, has_edge_msgs = (t is not None for t in extras)
-    first_shape, summed_shape, s_shape, r_shape = first.shape, summed.shape, s.shape, r.shape
+    first_shape, s_shape, r_shape = first.shape, s.shape, r.shape
 
     def backward(g):
-        g_summed = (g * positive).reshape(summed_shape)
-        g_prod = np.broadcast_to(np.expand_dims(g_summed, 2), (B, n, n, heads, k))
-        g_msgs = _unbroadcast(g_prod * alpha5, msgs.shape)
-        g_alpha = _unbroadcast(g_prod * msgs, alpha5.shape).reshape(alpha.shape)
-        g_logits = _softmax_grad(g_alpha, alpha, 2) * scale
+        g_summed = (g * positive).reshape(B, n, heads, k)
+        # the attention gradient over the row lists; a pair outside them
+        # has alpha = 0, so its gradient reaches no logit
+        g_alpha = None if rows.width == n else np.zeros((B * n * n, heads))
+        for targets, nodes, pairs in rows.groups:
+            g_out = (g_summed[:, :, None] if targets is None
+                     else g_summed.reshape(B * n, 1, heads, k)[targets])
+            msgs, new = messages(nodes, pairs)
+            part = np.multiply(g_out, msgs, out=msgs if new else None).sum(axis=-1)
+            if pairs is None:
+                g_alpha = part
+            else:
+                g_alpha[pairs] = part
+        g_logits = _softmax_grad(g_alpha.reshape(B, n, n, heads), alpha, 2) * scale
         g_s = _unbroadcast(g_logits, s_shape)
         g_r = _unbroadcast(g_logits, r_shape)
+        # the message gradients over the column lists, summed over i in order
+        cols = lists.columns
+        g_msgs = None
+        g_edge = np.zeros((B * n * n, heads, k)) if has_edge_msgs else None
+        for targets, nodes, pairs in cols.groups:
+            g_in = cols.of_nodes(g_summed, nodes)
+            g_in = np.multiply(g_in, cols.of_pairs(alpha, pairs)[..., None],
+                               out=None if nodes is None else g_in)
+            part = g_in.sum(axis=cols.slot_axis(targets))
+            if targets is None:
+                g_msgs = part.reshape(B * n, heads, k)
+            else:
+                g_msgs[targets] = part
+            if has_edge_msgs:
+                if pairs is None:
+                    g_edge = g_in
+                else:
+                    g_edge[pairs] = g_in
         # wh's consumers add their gradients last-made first, as the
         # composed backward sweep does: the messages, then r, then s
-        g_wh = (_unbroadcast(g_msgs, wh.shape) + np.einsum("bxnh,hk->bxnhk", g_r, dst2)
+        g_wh = (g_msgs.reshape(B, 1, n, heads, k) + np.einsum("bxnh,hk->bxnhk", g_r, dst2)
                 + np.einsum("bnxh,hk->bxnhk", g_s, src2))
         g_first = g_wh.reshape(first_shape)
         grads = [g + grad_x(g_first), grad_w(g_first),
@@ -819,7 +1118,7 @@ def attention_round(h, w, a_src, a_dst, mask, bias=None, edge_logits=None,
         if has_edge_logits:
             grads.append(_unbroadcast(g_logits, (B, n, n, 1)))
         if has_edge_msgs:
-            grads.append(g_msgs)
+            grads.append(g_edge)
         return [grad.reshape(shape) for grad, shape in zip(grads, shapes)]
 
     return _fused("attention_round", out, inputs, backward)

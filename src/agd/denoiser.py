@@ -27,8 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, gru_cell
-from .graphs import (ABSENT, MASK, DenoisingView, GraphError, check_at_least,
-                     check_config_numbers)
+from .graphs import (ABSENT, MASK, DenoisingView, GraphError, categorical_cdf,
+                     check_at_least, check_config_numbers)
 
 
 @dataclass
@@ -183,7 +183,8 @@ class DenoiserNet(ad.Network):
         h = ad.rows(self._get(tape, "node_embed"), node_tokens)       # (B, m, d)
 
         if c.aggregator == "gat":
-            attend = (neighbours | np.eye(m, dtype=bool))[..., None]    # (B, m, m, 1 head)
+            attend = ad.NeighbourLists((neighbours | np.eye(m, dtype=bool))[..., None],
+                                       h.shape, c.edge_in_attention)    # one head
             edge_table = self._get(tape, "edge_embed")
             for l in range(c.layers):
                 w, b, a_src, a_dst = (self._get(tape, f"l{l}_{name}")
@@ -327,10 +328,11 @@ class DenoiserNet(ad.Network):
         Each view runs its own trunk. Each edge head then runs once over all
         the views' pair rows, so its weights get one gradient product for
         the lot rather than one per view; each view's scoring then reads its
-        own rows."""
-        trunks = [self._trunk(view, tape) for view in views]
+        own rows. Each parameter is lifted onto the tape once per call."""
+        lifted = ad.WatchOnce(tape)
+        trunks = [self._trunk(view, lifted) for view in views]
         pairs = [pair for _, _, pair in trunks if pair is not None]
-        edge_logp = self._edge_log_probs(pairs, tape) if pairs else None   # (1, K, sum P, E)
+        edge_logp = self._edge_log_probs(pairs, lifted) if pairs else None   # (1, K, sum P, E)
         out, offset = [], 0
         for view, node_type, observed, (node_logp, mix_logw, _) in zip(
                 views, node_types, observed_edges, trunks, strict=True):
@@ -433,17 +435,18 @@ class StepSampler:
         return probs
 
     def draw(self, rng: np.random.Generator, edge_mask=None):
-        """(node type, {prev node -> edge state}), as `DenoiserNet.sample_step`."""
-        node_type = int(rng.choice(len(self.node_probs), p=self.node_probs))
+        """(node type, {prev node -> edge state}), as `DenoiserNet.sample_step`.
+        Each draw is `rng.choice(k, p=p)`'s, by `categorical_cdf`."""
+        node_type = int(categorical_cdf(self.node_probs).searchsorted(rng.random(), side="right"))
         if not self.prev_nodes:
             return node_type, {}
         forbidden = set(edge_mask) if edge_mask is not None else set()
-        k = int(rng.choice(len(self.mixture_weights), p=self.mixture_weights))
-        probs = self.edge_probs(k)
+        k = int(categorical_cdf(self.mixture_weights).searchsorted(rng.random(), side="right"))
+        cdf = categorical_cdf(self.edge_probs(k))
         assignment = {}
         for j, v in enumerate(self.prev_nodes):
             if v in forbidden:
                 assignment[v] = ABSENT
             else:
-                assignment[v] = int(rng.choice(probs.shape[1], p=probs[j]))
+                assignment[v] = int(cdf[j].searchsorted(rng.random(), side="right"))
         return node_type, assignment

@@ -118,6 +118,19 @@ def check_at_least(config, bound, names) -> None:
             raise ValueError(f"{name} must be >= {bound}, got {getattr(config, name)}")
 
 
+def categorical_cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative distribution that `Generator.choice(k, p=p)` draws
+    from, along the last axis: `cdf.searchsorted(rng.random(), side="right")`
+    then gives the draw of `rng.choice(len(p), p=p)` and leaves `rng` where
+    it leaves it, on numpy 2.4. It skips choice's checks of p, so the
+    caller's p must pass them: non-negative, no NaN, summing to 1 within
+    sqrt(eps). Every p drawn from here is a softmax's exp or its own
+    normalization, which do."""
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
 def new_graph(node_types, edge_list, num_node_types: int | None = None,
               num_edge_types: int | None = None) -> LabeledGraph:
     """Validated construction from a type list and (i, j, type) triples of

@@ -25,7 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .graphs import (ABSENT, DiffusionTrajectory, GraphError, LabeledGraph,
-                     check_at_least, check_config_numbers, forward_trajectory)
+                     categorical_cdf, check_at_least, check_config_numbers,
+                     forward_trajectory)
 
 
 def positional_encoding(position: int, dim: int) -> np.ndarray:
@@ -150,7 +151,8 @@ class OrderingNet(ad.Network):
         x = ad.concat([emb, ad.rows(table, position)], axis=2)
         h = ad.add(ad.matmul(x, self._get(tape, "w_in")), self._get(tape, "b_in"))
 
-        neighbours = ((graph.adjacency != ABSENT) | np.eye(n, dtype=bool))[:, :, None]
+        neighbours = ad.NeighbourLists(
+            ((graph.adjacency != ABSENT) | np.eye(n, dtype=bool))[:, :, None], h.shape)
         for w, a_src, a_dst in weights:
             h = ad.attention_round(h, w, a_src, a_dst, neighbours, slope=c.leaky_slope)
         # an einsum, not a BLAS matrix-vector product, whose bits would
@@ -224,12 +226,13 @@ class OrderingNet(ad.Network):
                 remaining = sorted(set(range(n)).difference(prefix))
                 logp = self._step_log_probs(scores, [b * n + u for u in remaining]).data
                 probs = np.exp(logp)
-                steps[prefix] = (remaining, probs, logp,
+                steps[prefix] = (remaining, categorical_cdf(probs / probs.sum()), logp,
                                  {v: float(p) for v, p in zip(remaining, probs)})
             for k, rng in enumerate(rngs):
-                remaining, probs, logp, step_weight = steps[prefixes[k]]
+                remaining, cdf, logp, step_weight = steps[prefixes[k]]
                 step_weights[k].append(step_weight)
-                idx = int(rng.choice(len(remaining), p=probs / probs.sum()))
+                # rng.choice(len(remaining), p=probs / probs.sum()), bit for bit
+                idx = int(cdf.searchsorted(rng.random(), side="right"))
                 prefixes[k] += (remaining[idx],)
                 step_log_probs[k].append(float(logp[idx]))
         return [forward_trajectory(graph, prefix, tuple(logps), tuple(ws))

@@ -61,3 +61,19 @@ def test_op_counts_repeat_and_restore_every_op(capsys):
     assert len(lines) == 8 and all(int(line.split()[-1]) > 0 for line in lines[1:])
     assert agd.autodiff.add is add
     assert agd.denoiser.gru_cell is gru_cell is agd.autodiff.gru_cell
+
+
+_LAYER_TIMES_SPEC = importlib.util.spec_from_file_location(
+    "layer_times", Path(__file__).resolve().parents[1] / "tools" / "layer_times.py")
+layer_times = importlib.util.module_from_spec(_LAYER_TIMES_SPEC)
+_LAYER_TIMES_SPEC.loader.exec_module(layer_times)
+
+
+def test_layer_times_prints_every_layer_on_every_graph(capsys):
+    assert layer_times.main(["--tiny", "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-3:] == ["c12-22", "c16-40", "hub16"]
+    assert len(lines) == 7
+    for line in lines[1:]:
+        times = [float(t) for t in line.split()[-3:]]
+        assert all(t > 0 for t in times), line
