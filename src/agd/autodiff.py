@@ -38,10 +38,11 @@ per-token edge products, two reads of `edge_embed`, outside it too.
 
 `attention_round` keeps its logits and softmax dense, and forms its
 products, their sum and their gradients over padded neighbour lists
-(`NeighbourLists`, built once per forward by the caller): a pair outside
-the mask forms no product, and a padded slot adds an exact zero, so the
-bits are the dense round's. The same shape rule picks the lists' width, and
-width n, the dense layout, where lists would not pay.
+(`NeighbourLists`, built once per forward by the caller; a raw mask is
+wrapped in them first, so there is one mask path): a pair outside the mask
+forms no product, and a padded slot adds an exact zero, so the bits are the
+dense round's. The same shape rule picks the lists' width, and width n, the
+dense layout, where lists would not pay.
 
 Every op checks its output for finiteness, by its sum first and by
 `np.isfinite` only when the sum is not finite.
@@ -280,23 +281,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -321,23 +307,6 @@ class Network:
         if tape is None:
             return Tensor(self.params[name].data)
         return tape.watch(self.params[name])
-
-
-class WatchOnce:
-    """Stands in for `tape` where a network reads its parameters (`_get`)
-    over one call: each parameter is lifted onto the tape once, and the
-    same tensor is handed back after. The dict lives as long as this
-    object, which the tape does not hold."""
-
-    def __init__(self, tape: Tape):
-        self.tape = tape
-        self._tensors: dict[str, Tensor] = {}
-
-    def watch(self, param: Parameter) -> Tensor:
-        tensor = self._tensors.get(param.name)
-        if tensor is None:
-            tensor = self._tensors[param.name] = self.tape.watch(param)
-        return tensor
 
 
 def as_tensor(x) -> Tensor:
@@ -985,8 +954,9 @@ def attention_round(h, w, a_src, a_dst, mask, bias=None, edge_logits=None,
     round returns `h + relu(sum_j alpha_ij * (Wh_j (+ edge_msgs_ij)))`,
     summed over j in sorted order. The optional per-pair terms are
     `edge_logits`, (B, n, n), added to every head's logits, and `edge_msgs`,
-    (B, n, n, d), added to the messages. `mask` may be `NeighbourLists`
-    built for h's shape, which rounds over the same pairs share.
+    (B, n, n, d), added to the messages. `mask` is `NeighbourLists` built
+    for h's shape, which rounds over the same pairs share; a raw mask is
+    wrapped in `NeighbourLists` first, so there is one mask path.
 
     It is the composed `matmul`, (`add`,) `reshape`, two `einsum`s, `add`,
     (`add`,) (`add`,) `leaky_relu`, `masked_softmax`, `reshape`, `mul`,
@@ -1011,8 +981,9 @@ def attention_round(h, w, a_src, a_dst, mask, bias=None, edge_logits=None,
     heads, k = (1,) + src.shape if src.ndim == 1 else src.shape
     if heads * k != d:
         raise ShapeError(f"{heads} heads of width {k} do not make a width of {d}")
-    lists = mask if isinstance(mask, NeighbourLists) else None
-    if lists is not None and lists.shape != x.shape:
+    lists = (mask if isinstance(mask, NeighbourLists)
+             else NeighbourLists(mask, x.shape, edge_msgs is not None))
+    if lists.shape != x.shape:
         raise ShapeError(f"neighbour lists for {lists.shape} given states {x.shape}")
     src2, dst2 = src.reshape(heads, k), dst.reshape(heads, k)
 
@@ -1028,9 +999,7 @@ def attention_round(h, w, a_src, a_dst, mask, bias=None, edge_logits=None,
         logits = _check_finite(logits + edge_logits.reshape(B, n, n, 1), "add")
     scale = np.where(logits > 0, 1.0, slope)
     alpha = _check_finite(_masked_softmax(_check_finite(logits * scale, "leaky_relu"),
-                                          mask if lists is None else lists.mask, 2),
-                          "masked_softmax")
-    lists = lists or NeighbourLists(mask, x.shape, edge_msgs is not None)
+                                          lists.mask, 2), "masked_softmax")
     rows = lists.rows
     if edge_msgs is not None and rows.width < n and not math.isfinite(
             float(max(edge_msgs.max(), -edge_msgs.min())) + float(max(first.max(), -first.min()))):

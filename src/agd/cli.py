@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from .autodiff import NonFiniteError
 from .config import ConfigError, RunConfig
 from .datasets import (GENERATORS, Corpus, export_dot, load_corpus,
                        save_corpus, split)
@@ -34,9 +35,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (CliError, ConfigError, GraphError, TrainingDiverged,
-            OSError, ValueError) as exc:
+        # the finiteness checks report every overflow, so numpy's warnings
+        # would only repeat them (`autodiff.log` keeps its own errstate)
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (CliError, ConfigError, GraphError, TrainingDiverged, NonFiniteError,
+            MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

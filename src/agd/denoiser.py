@@ -328,11 +328,10 @@ class DenoiserNet(ad.Network):
         Each view runs its own trunk. Each edge head then runs once over all
         the views' pair rows, so its weights get one gradient product for
         the lot rather than one per view; each view's scoring then reads its
-        own rows. Each parameter is lifted onto the tape once per call."""
-        lifted = ad.WatchOnce(tape)
-        trunks = [self._trunk(view, lifted) for view in views]
+        own rows."""
+        trunks = [self._trunk(view, tape) for view in views]
         pairs = [pair for _, _, pair in trunks if pair is not None]
-        edge_logp = self._edge_log_probs(pairs, lifted) if pairs else None   # (1, K, sum P, E)
+        edge_logp = self._edge_log_probs(pairs, tape) if pairs else None   # (1, K, sum P, E)
         out, offset = [], 0
         for view, node_type, observed, (node_logp, mix_logw, _) in zip(
                 views, node_types, observed_edges, trunks, strict=True):

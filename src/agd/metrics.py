@@ -97,9 +97,7 @@ def _orbits_and_graphlets(graph: LabeledGraph):
         degs = (ab + ac + ad, ab + bc + bd, ac + bc + cd, ad + bd + cd)
         if min(degs) == 0 or sum(degs) < 6:      # disconnected
             continue
-        name = _GRAPHLET_BY_DEGSEQ.get(tuple(sorted(degs)))
-        if name is None:
-            continue
+        name = _GRAPHLET_BY_DEGSEQ[tuple(sorted(degs))]
         occ[name] += 1
         for v, deg in zip(quad, degs):
             counts[v][_ORBIT_BY_GRAPHLET_DEGREE[(name, deg)]] += 1

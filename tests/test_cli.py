@@ -1,6 +1,10 @@
 import json
 import math
 import os
+import re
+import resource
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,11 +15,13 @@ from hypothesis import strategies as st
 
 from agd.autodiff import Parameter
 from agd.cli import main
-from agd.datasets import load_corpus, save_corpus
+from agd.datasets import Corpus, load_corpus, save_corpus
 from agd.denoiser import DenoiserConfig
+from agd.graphs import new_graph
 from agd.model import ModelBundle
 from agd.optim import CheckpointError, load_checkpoint, save_checkpoint
 from agd.ordering import OrderingConfig
+from agd.training import TrainReport
 from tests.test_training import poison_denoiser_step
 
 
@@ -822,3 +828,101 @@ class TestInfiniteLearningRate:
         line = _one_error_line(capsys)
         assert f"'{key}' in [train]" in line, line
         assert not (tmp_path / "ckpts").exists()
+
+
+class TestValidationCorpus:
+    """`[paths] val_corpus` replaces the split: the whole corpus trains and
+    the given corpus validates."""
+
+    def test_fit_gets_the_given_validation_graphs(self, tmp_path, monkeypatch):
+        corpus, val_corpus = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 6, "--seed", 3,
+             "--out", corpus])
+        run(["make-dataset", "--kind", "caveman", "--count", 2, "--seed", 4,
+             "--out", val_corpus])
+        seen = []
+
+        def fake_fit(train, val, model, config, **kwargs):
+            seen.append((train, val))
+            return model, TrainReport()
+
+        monkeypatch.setattr("agd.cli.fit", fake_fit)
+        config = _write_config(tmp_path, corpus, train={"val_fraction": 0.5},
+                               val_corpus=val_corpus)
+        assert run(["train", "--config", config]) == 0
+        assert seen == [(load_corpus(corpus).graphs, load_corpus(val_corpus).graphs)]
+
+    def test_an_unknown_node_type_names_the_validation_file(self, tmp_path, capsys):
+        corpus, val_corpus = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 6, "--seed", 3,
+             "--out", corpus])
+        save_corpus(Corpus([new_graph([0, 1, 1], [(0, 1, 1), (1, 2, 1)], 2, 2)], 2, 2),
+                    val_corpus)
+        config = _write_config(tmp_path, corpus, val_corpus=val_corpus)
+        assert run(["train", "--config", config]) == 1
+        line = _one_error_line(capsys)
+        assert str(val_corpus) in line and "2 node types" in line, line
+        assert not (tmp_path / "ckpts").exists()
+
+
+def _cli_process(argv, memory_limit=None):
+    """`agd argv` in a fresh interpreter, with python's default warning
+    filters and at most `memory_limit` bytes of address space: (exit code,
+    stderr lines)."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONWARNINGS", None)
+    limit = None if memory_limit is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit)))
+    done = subprocess.run([sys.executable, "-m", "agd.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, preexec_fn=limit)
+    return done.returncode, done.stderr.splitlines()
+
+
+def _huge_entry(name):
+    """Set one entry of parameter `name` to 1e308: finite, so the checkpoint
+    loads, but the first sum through it overflows."""
+    def edit(params, optimizers):
+        params[name].data.flat[0] = 1e308
+    return edit
+
+
+class TestOverflowAndMemory:
+    """A finite checkpoint whose values overflow, or a width that cannot be
+    allocated, ends in one `error:` line, and a run that exits 0 prints no
+    numpy warning."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        assert run(["make-dataset", "--kind", "caveman", "--count", 2, "--seed", 8,
+                    "--out", corpus]) == 0
+        return corpus
+
+    @pytest.mark.parametrize("command", ["generate", "nll", "ablate-ordering"])
+    def test_an_overflowing_denoiser_is_one_error_line(self, tmp_path, tiny_checkpoint,
+                                                       corpus, command):
+        _rewrite(_huge_entry("denoiser.node_embed"))(Path(tiny_checkpoint))
+        argv = {"generate": ["--count", 1, "--n", 3, "--out", tmp_path / "g.jsonl"],
+                "nll": ["--corpus", corpus, "--samples", 2, "--out", tmp_path / "n.jsonl"],
+                "ablate-ordering": ["--corpus", corpus, "--count", 1]}[command]
+        code, err = _cli_process([command, "--checkpoint", tiny_checkpoint, *argv])
+        assert code == 1 and len(err) == 1, err
+        assert re.fullmatch(r"error: \w+ produced a non-finite value", err[0]), err
+
+    def test_an_overflowing_ordering_embedding_warns_nothing(self, tmp_path,
+                                                             tiny_checkpoint, corpus):
+        _rewrite(_huge_entry("ordering.embed"))(Path(tiny_checkpoint))
+        code, err = _cli_process(["nll", "--checkpoint", tiny_checkpoint, "--corpus", corpus,
+                                  "--samples", 2, "--out", tmp_path / "n.jsonl"])
+        assert code == 0 and err == [], err
+
+    def test_an_unallocatable_width_is_one_error_line(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        run(["make-dataset", "--kind", "caveman", "--count", 6, "--seed", 3,
+             "--out", corpus])
+        # a (2, 10^9) embedding is 16 GB, over the 4 GB the process may map
+        config = _write_config(tmp_path, corpus, model={"hidden": 10 ** 9})
+        code, err = _cli_process(["train", "--config", config], memory_limit=4 << 30)
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("error: Unable to allocate "), err

@@ -134,6 +134,23 @@ class TestOrbits:
             assert np.array_equal(orbit_counts_4(g), counts)
             assert graphlet_counts_4(g) == occ
 
+    def test_every_graph_on_four_labelled_nodes(self):
+        # the degree test passes exactly the connected graphs, and each one's
+        # sorted degree sequence names its graphlet
+        pairs = list(itertools.combinations(range(4), 2))
+        seen = {name: 0 for name in GRAPHLET_NAMES}
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            edges = [p for p, keep in zip(pairs, chosen) if keep]
+            reached = {0}
+            for _ in range(3):                   # a path on 4 nodes has at most 3 edges
+                reached |= {u for a, b in edges if {a, b} & reached for u in (a, b)}
+            occ = graphlet_counts_4(untyped(4, edges))
+            assert sum(occ.values()) == (len(reached) == 4)
+            for name, count in occ.items():
+                seen[name] += count
+        assert seen == {"path": 12, "star": 4, "cycle": 3, "paw": 12, "diamond": 6,
+                        "clique": 1}
+
     def test_orbit_participation_identity(self):
         orbit_class_sizes = {
             "path": {0: 2, 1: 2}, "star": {2: 3, 3: 1}, "cycle": {4: 4},

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from agd import autodiff as ad
-from agd.autodiff import NonFiniteError, Tape
-from agd.denoiser import DenoiserConfig, DenoiserNet
+from agd.autodiff import NonFiniteError
 from agd.graphs import categorical_cdf
 from tests.test_fused_ops import (_run, assert_same_bits, composed_gat_round,
                                   composed_ordering_round)
@@ -241,24 +240,6 @@ def test_an_edge_sum_overflowing_outside_the_lists_still_raises():
         with np.errstate(over="ignore"), pytest.raises(
                 NonFiniteError, match="^add produced a non-finite value$"):
             fn()
-
-
-def test_denoiser_watches_each_parameter_once_per_call(monkeypatch):
-    from agd.graphs import absorb_node, denoising_view, initial_state, new_graph
-    from agd.training import observed_step
-    g = new_graph([0, 1, 0, 1], [(0, 1, 1), (1, 2, 1), (2, 3, 1)], 2, 2)
-    net = DenoiserNet.init(DenoiserConfig(2, 2, layers=2, hidden=6, mlp_hidden=8,
-                                          mixtures=2), np.random.default_rng(18))
-    views, labels, state = [], [], initial_state(g)
-    for v in (3, 0, 2):
-        state = absorb_node(state, v)
-        views.append(denoising_view(state, v))
-        labels.append(observed_step(g, state, v))
-    watched = []
-    watch = Tape.watch
-    monkeypatch.setattr(Tape, "watch", lambda tape, p: watched.append(p.name) or watch(tape, p))
-    out = net.taped_log_likelihoods(views, *zip(*labels), Tape())
-    assert len(out) == 3 and sorted(watched) == sorted(set(watched))
 
 
 # ---------------------------------------------------------------------------
